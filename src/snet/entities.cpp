@@ -97,6 +97,15 @@ void InputDispatchEntity::drop_staged(SessionState* s) {
   fire_released();
 }
 
+bool InputDispatchEntity::delist(SessionState* s) {
+  // The session's forwarded records must reach the entry first: once it
+  // is delisted (and no other session is listed), the client's next
+  // inject may bypass staging straight into the entry, and would overtake
+  // records still sitting in our emit buffer.
+  flush_all();
+  return net_.dispatch_delist(s);
+}
+
 void InputDispatchEntity::on_poke() {
   quantum_role_.assert_held();
   // Weighted deficit-round-robin over the sessions with staged input.
@@ -116,7 +125,7 @@ void InputDispatchEntity::on_poke() {
     active_.pop_front();
     if (s->abandoned() || s->errored()) {
       drop_staged(s);
-      if (!net_.dispatch_delist(s)) {
+      if (!delist(s)) {
         active_.push_back(s);  // a racing inject re-listed it: drop next turn
       }
       continue;
@@ -125,7 +134,7 @@ void InputDispatchEntity::on_poke() {
       // Interior (det/sync) account over its cap: pause this session's
       // admission. dispatch_wake re-pokes us at the drain watermark; a
       // fresh inject after the delist re-lists too.
-      if (!net_.dispatch_delist(s)) {
+      if (!delist(s)) {
         active_.push_back(s);  // re-listed into our hands: keep it parked here
       }
       continue;
@@ -147,7 +156,7 @@ void InputDispatchEntity::on_poke() {
     fire_released();
     if (emptied) {
       s->deficit_ = 0;  // classic DRR: no banking credit across idle gaps
-      if (!net_.dispatch_delist(s)) {
+      if (!delist(s)) {
         active_.push_back(s);  // a concurrent inject re-listed it our way
       }
     } else {

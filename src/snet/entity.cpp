@@ -187,7 +187,6 @@ void Entity::run_quantum(unsigned max_messages) {
   // Process the batch up to the quantum end or a stall request — a stall
   // leaves the remainder in batch_ (resume point batch_pos_), so nothing
   // is re-ordered or lost across a suspension.
-  std::uint64_t quantum_in = 0;
   while (batch_pos_ < batch_.size() && !stall_gate_) {
     Message& msg = batch_[batch_pos_++];
     if (msg.kind == Message::Kind::Poke) {
@@ -198,7 +197,7 @@ void Entity::run_quantum(unsigned max_messages) {
       }
       continue;
     }
-    ++quantum_in;
+    ++quantum_in_;
     Record r = std::move(msg.rec);
     // The stamp stack and session as the record arrived: the consume
     // decrements below must target exactly these even if on_record
@@ -251,16 +250,15 @@ void Entity::run_quantum(unsigned max_messages) {
   } catch (...) {
     net_.fail(std::current_exception());
   }
-  // Publish the quantum's counter deltas in two relaxed RMWs instead of
-  // one per record — *before* flush_all: the flush applies the live-count
-  // decrements that let a quiescence-gated stats reader proceed, so the
-  // counters must already be visible by then.
-  if (quantum_in != 0) {
-    in_count_.fetch_add(quantum_in, std::memory_order_relaxed);
-  }
-  if (quantum_out_ != 0) {
-    out_count_.fetch_add(quantum_out_, std::memory_order_relaxed);
-    quantum_out_ = 0;
+  // Publish the quantum's counter deltas — this entity's and its inline
+  // stages' — in relaxed RMWs instead of one per record, *before*
+  // flush_all: the flush applies the live-count decrements that let a
+  // quiescence-gated stats reader proceed, so the counters must already be
+  // visible by then.
+  publish_counters();
+  for (Entity* stage : fused_) {
+    const snetsac::runtime::RoleGuard stage_role(stage->quantum_role_);
+    stage->publish_counters();
   }
   flush_all();
   if (stall_gate_) {
@@ -294,9 +292,29 @@ void Entity::run_quantum(unsigned max_messages) {
   }
 }
 
+void Entity::fuse_into(Entity& head) {
+  head_ = &head;
+  head.fused_.push_back(this);
+}
+
 void Entity::send(Entity* target, Record r) {
-  ++emitted_in_step_;
   ++quantum_out_;
+  if (target->head_ != nullptr) {
+    run_inline(*target, std::move(r));
+    return;
+  }
+  if (head_ != nullptr) {
+    // An inline stage runs inside its head's quantum (run_inline holds
+    // both roles on this thread): its emissions join the head's buffers
+    // and accumulators, and a congested target stalls the head.
+    head_->quantum_role_.assert_held();
+    head_->emit_downstream(target, std::move(r));
+    return;
+  }
+  emit_downstream(target, std::move(r));
+}
+
+void Entity::emit_downstream(Entity* target, Record r) {
   if (batching_) {
     // Group/live increments accumulate with the staged message; flush_all
     // applies them immediately before the record becomes visible
@@ -317,6 +335,36 @@ void Entity::send(Entity* target, Record r) {
     request_stall([target](Entity* producer) {
       return target->await_inbox_credit(producer);
     });
+  }
+}
+
+void Entity::run_inline(Entity& stage, Record r) {
+  // The stage's only producer is its left neighbour, which is running
+  // right here — so the stage's role is free, and taking it makes the
+  // stage's worker-only state as protected as in a quantum of its own.
+  // The record is neither counted live nor in any det group: the producer
+  // consumed-or-emitted nothing visible, and everything the stage emits is
+  // accounted by the head as its own emission.
+  if (net_.tracing()) {
+    net_.trace_record(stage, r);
+  }
+  const snetsac::runtime::RoleGuard stage_role(stage.quantum_role_);
+  ++stage.quantum_in_;
+  try {
+    stage.on_record(std::move(r));
+  } catch (...) {
+    net_.fail(std::current_exception());
+  }
+}
+
+void Entity::publish_counters() {
+  if (quantum_in_ != 0) {
+    in_count_.fetch_add(quantum_in_, std::memory_order_relaxed);
+    quantum_in_ = 0;
+  }
+  if (quantum_out_ != 0) {
+    out_count_.fetch_add(quantum_out_, std::memory_order_relaxed);
+    quantum_out_ = 0;
   }
 }
 

@@ -76,6 +76,9 @@ class InputDispatchEntity final : public Entity {
   void drop_staged(SessionState* s) SNETSAC_REQUIRES(quantum_role_);
   /// Fires staging-queue credit waiters collected during a turn.
   void fire_released() SNETSAC_REQUIRES(quantum_role_);
+  /// Flushes the forwarded records into the entry, then delists \p s
+  /// (Network::dispatch_delist's contract).
+  bool delist(SessionState* s) SNETSAC_REQUIRES(quantum_role_);
 
   Entity* entry_;
   /// DRR ring; dispatcher worker only.

@@ -36,7 +36,13 @@
 ///    credit-starved session are held back in per-session FIFO order
 ///    while every other session's records keep flowing, which is what
 ///    turns the shared output entity's stall from a cross-session
-///    head-of-line block into a per-tenant pause.
+///    head-of-line block into a per-tenant pause, and
+///  * linear-segment fusion: an *inline stage* (a box or filter whose only
+///    producer is its left neighbour in a fused serial segment, see
+///    Network::instantiate and serial_segments) has no live inbox. A send
+///    into it runs its on_record inside the producer's quantum, and its
+///    own emissions go to the segment head's buffers and accumulators, so
+///    the record between two stages costs a call, not an entity hop.
 
 #include <atomic>
 #include <cstdint>
@@ -69,7 +75,9 @@ class Entity {
   /// scheduled. Thread-safe. Returns true when the inbox is at/over its
   /// bound after the push — the producing entity should suspend (the
   /// push itself always succeeds: a producer mid-record finishes its
-  /// emissions, so overshoot stays bounded by one record's fan-out).
+  /// emissions, so overshoot stays bounded by one record's fan-out — for
+  /// a segment head, the fan-out of one head record through its inline
+  /// stages).
   bool deliver(Message m);
 
   /// Bounded enqueue for client injection: refuses — leaving \p m intact
@@ -107,6 +115,17 @@ class Entity {
 
   std::uint64_t records_in() const { return in_count_.load(std::memory_order_relaxed); }
   std::uint64_t records_out() const { return out_count_.load(std::memory_order_relaxed); }
+
+  /// Makes this entity an inline stage of \p head's segment: every record
+  /// sent to it runs through on_record inside the quantum of \p head (the
+  /// producer is \p head itself or an earlier inline stage of the same
+  /// segment — no other entity may target an inline stage). Instantiation
+  /// only: both entities must not be reachable by any producer yet, and
+  /// the caller holds the network's entity-registry lock, under which
+  /// stats() reads fused().
+  void fuse_into(Entity& head);
+  /// True for an inline stage (stats and tests; see fuse_into).
+  bool fused() const { return head_ != nullptr; }
 
   /// Records parked on (this, session) credit keys, readable from any
   /// thread (the invariant layer correlates it with the sessions' parked
@@ -147,13 +166,24 @@ class Entity {
 
   /// Emits a derived record downstream: counted as an emission of the
   /// record currently being consumed (det accounting, live accounting).
-  /// A congested target requests a stall of this entity.
+  /// A congested target requests a stall of this entity — of the segment
+  /// head when this is an inline stage. An inline \p target consumes \p r
+  /// right here (see run_inline); the record is never counted live.
   void send(Entity* target, Record r) SNETSAC_REQUIRES(quantum_role_);
 
   /// Moves a record the entity had previously buffered (and manually
   /// accounted for) downstream without counting it as a fresh emission.
-  /// A congested target requests a stall of this entity.
+  /// A congested target requests a stall of this entity. Never targets an
+  /// inline stage (only det collectors and the input dispatcher transfer).
   void transfer(Entity* target, Record r) SNETSAC_REQUIRES(quantum_role_);
+
+  /// Applies pending increments, pushes every buffer (one push_all per
+  /// target; a congested bounded target requests a stall), then applies
+  /// pending decrements and clears the accumulators. run_quantum calls it
+  /// at every quantum exit; an entity may call it earlier when its
+  /// emissions must be visible downstream before it publishes something
+  /// else (the input dispatcher, before it delists a session).
+  void flush_all() SNETSAC_REQUIRES(quantum_role_);
 
   /// Attempts to register this entity with a credit source; it must
   /// return false when credit is (again) available, in which case the
@@ -210,6 +240,18 @@ class Entity {
   void schedule_after_push();
   /// Fires credit waiters the last drain made runnable.
   void release_inbox_credit() SNETSAC_REQUIRES(quantum_role_);
+  /// The body of send() for a real (inbox-backed) target, run on the
+  /// entity that owns the quantum: emission accounting, then the buffered
+  /// or scalar delivery, requesting a stall when the target is congested.
+  void emit_downstream(Entity* target, Record r) SNETSAC_REQUIRES(quantum_role_);
+  /// Delivers \p r to the inline stage \p stage: reports it to the trace
+  /// under the stage's name, then runs the stage's on_record under its own
+  /// quantum role, inside this quantum. A throw fails the network exactly
+  /// as it would have in the stage's own quantum.
+  void run_inline(Entity& stage, Record r) SNETSAC_REQUIRES(quantum_role_);
+  /// Folds the records in/out counted since the last publish into the
+  /// atomic counters stats() reads.
+  void publish_counters() SNETSAC_REQUIRES(quantum_role_);
 
   // --- batched emission (see file comment) ------------------------------
   // All of this is only touched by the single worker currently running
@@ -253,10 +295,6 @@ class Entity {
       SNETSAC_REQUIRES(quantum_role_);
   void live_delta_add(SessionState* session) SNETSAC_REQUIRES(quantum_role_);
   void live_delta_sub(SessionState* session) SNETSAC_REQUIRES(quantum_role_);
-  /// Applies pending increments, pushes every buffer (one push_all per
-  /// target; a congested bounded target requests a stall), then applies
-  /// pending decrements and clears the accumulators.
-  void flush_all() SNETSAC_REQUIRES(quantum_role_);
 
   std::string name_;
   snetsac::runtime::MpscQueue<Message> inbox_;
@@ -312,12 +350,18 @@ class Entity {
   };
   std::atomic<int> state_{kIdle};
 
-  // Only touched by the single worker currently running the entity.
-  std::uint64_t emitted_in_step_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
+  /// Linear-segment fusion, fixed at instantiation and read-only once the
+  /// entities are reachable (like batching_): the head whose quantum runs
+  /// this inline stage (null for an inbox-backed entity), and a head's
+  /// inline stages, whose counters it publishes with its own.
+  Entity* head_ = nullptr;
+  std::vector<Entity*> fused_;
 
-  /// Emissions since the last counter publish; send/transfer bump this
-  /// plain counter and run_quantum folds it into out_count_ once per
-  /// quantum — stats stay atomic reads without a per-record RMW.
+  /// Records consumed and emitted since the last counter publish: plain
+  /// counters folded into in_count_/out_count_ once per quantum (of the
+  /// segment head, for an inline stage) — stats stay atomic reads without
+  /// a per-record RMW.
+  std::uint64_t quantum_in_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
   std::uint64_t quantum_out_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
 
   std::atomic<std::uint64_t> in_count_{0};

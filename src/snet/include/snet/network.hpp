@@ -171,6 +171,9 @@ struct EntityStats {
   std::string name;
   std::uint64_t records_in = 0;
   std::uint64_t records_out = 0;
+  /// An inline stage of a fused linear segment (see serial_segments): it
+  /// runs inside its segment head's quanta and owns no live inbox.
+  bool fused = false;
 };
 
 /// Per-session QoS counters (one row per *live* session; released
@@ -232,6 +235,23 @@ struct NetworkStats {
   /// Sum of records_in over entities whose name contains \p needle.
   std::uint64_t records_in_containing(std::string_view needle) const;
 };
+
+/// Linear-segment fusion plan of a serial chain: the leaves of \p serial
+/// (nested serials flattened), in order, cut into the segments
+/// Network::instantiate builds. A maximal run of box/filter leaves splits
+/// into segments holding at most one box (`f b f b f` → `[f b f][b f]`);
+/// every other leaf is a segment of its own. Every stage after a segment's
+/// first is an inline stage of it: it runs inside the first's quanta, so
+/// a filter never costs an entity hop, while box→box edges and every edge
+/// into or out of a combinator entity keep their inbox.
+std::vector<std::vector<Net>> serial_segments(const Net& serial);
+
+/// The fused segments (two or more stages) of \p topology, each as the
+/// entity names instantiate gives its stages, head first, computed with
+/// serial_segments. Names follow the default instantiation; stages inside
+/// replicas created on demand carry `*` where the runtime puts the star
+/// stage number or the split tag value.
+std::vector<std::vector<std::string>> fused_segments(const Net& topology);
 
 class Network {
  public:
@@ -491,8 +511,13 @@ class Network {
   /// Sessions currently listed (staged backlog anywhere). While zero,
   /// injects may bypass the staging queue and deliver straight to the
   /// entry — the DRR detour costs nothing until there is actual
-  /// contention to arbitrate. A benignly stale zero lets at most one
-  /// record slip ahead of a freshly staged backlog.
+  /// contention to arbitrate. The dispatcher flushes a session's
+  /// forwarded records into the entry before it delists the session, so
+  /// a zero is only observed once every record staged before it is in the
+  /// entry's inbox: a bypassing inject never overtakes its own session's
+  /// earlier records. A stale zero read by a concurrent injector can only
+  /// let a record pass records of *other* sessions, which have no order
+  /// to keep against it.
   std::atomic<std::int64_t> listed_count_{0};
 
   mutable snetsac::runtime::Mutex out_mu_;

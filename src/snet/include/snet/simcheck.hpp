@@ -8,7 +8,8 @@
 /// (runtime/sim_executor.hpp) and drives one of the protocol flows the
 /// concurrency layer must keep correct under *every* interleaving:
 /// mid-batch producer stalls, per-session output deferral and flush,
-/// det-buffer Spill and FailFast, and DRR arbitration under flood. The
+/// det-buffer Spill and FailFast, DRR arbitration under flood, and a
+/// fused segment's head stalling on its inline stages' emissions. The
 /// SimExecutor serialises all quanta onto the calling thread and lets a
 /// strategy (PCT priorities, uniform random, or exact replay) pick the
 /// next runnable task, so one seed == one schedule, reproducible forever.
@@ -35,6 +36,9 @@ struct RunResult {
   std::uint64_t steps = 0;
   std::vector<std::uint32_t> choices;
   std::vector<std::uint32_t> option_counts;
+  /// Credit-backpressure suspensions of the scenario's network
+  /// (NetworkStats::suspensions).
+  std::uint64_t suspensions = 0;
 };
 
 /// Registered scenario names, in a stable order.

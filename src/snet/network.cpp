@@ -662,7 +662,8 @@ NetworkStats Network::stats() const {
     const MutexLock lock(reg_mu_);
     s.entities.reserve(entities_.size());
     for (const auto& e : entities_) {
-      s.entities.push_back(EntityStats{e->name(), e->records_in(), e->records_out()});
+      s.entities.push_back(EntityStats{e->name(), e->records_in(), e->records_out(),
+                                       e->fused()});
     }
   }
   s.injected = injected_.load();
@@ -1199,6 +1200,106 @@ void Network::trace_record(const Entity& target, const Record& r) {
   opts_.trace(target.name(), r);
 }
 
+namespace {
+
+bool is_stage(const Net& n) {
+  return n->kind == NetNode::Kind::Box || n->kind == NetNode::Kind::Filter;
+}
+
+void serial_leaves(const Net& n, std::vector<Net>& out) {
+  if (n->kind == NetNode::Kind::Serial) {
+    serial_leaves(n->left, out);
+    serial_leaves(n->right, out);
+  } else {
+    out.push_back(n);
+  }
+}
+
+/// The entity name instantiate gives a box or filter under \p prefix.
+std::string stage_name(const Net& n, const std::string& prefix) {
+  return n->kind == NetNode::Kind::Box ? prefix + "/box:" + n->name
+                                       : prefix + "/filter";
+}
+
+void collect_fused(const Net& n, const std::string& prefix,
+                   std::vector<std::vector<std::string>>& out);
+
+/// A parallel's branches under instantiate's prefixes: nested
+/// non-deterministic parallels flatten into one dispatcher (the default,
+/// batched instantiation), each leaf branch keeping its path of /parL and
+/// /parR steps.
+void collect_branches(const Net& n, const std::string& prefix,
+                      std::vector<std::vector<std::string>>& out) {
+  if (n->kind == NetNode::Kind::Parallel && !n->det) {
+    collect_branches(n->left, prefix + "/parL", out);
+    collect_branches(n->right, prefix + "/parR", out);
+    return;
+  }
+  collect_fused(n, prefix, out);
+}
+
+void collect_fused(const Net& n, const std::string& prefix,
+                   std::vector<std::vector<std::string>>& out) {
+  switch (n->kind) {
+    case NetNode::Kind::Box:
+    case NetNode::Kind::Filter:
+    case NetNode::Kind::Sync:
+      return;
+    case NetNode::Kind::Serial:
+      for (const std::vector<Net>& segment : serial_segments(n)) {
+        if (segment.size() > 1) {
+          std::vector<std::string> names;
+          for (const Net& stage : segment) {
+            names.push_back(stage_name(stage, prefix));
+          }
+          out.push_back(std::move(names));
+        } else {
+          collect_fused(segment.front(), prefix, out);
+        }
+      }
+      return;
+    case NetNode::Kind::Parallel:
+      collect_branches(n->left, prefix + "/parL", out);
+      collect_branches(n->right, prefix + "/parR", out);
+      return;
+    case NetNode::Kind::Star:
+      collect_fused(n->child, prefix + "/star/rep*", out);
+      return;
+    case NetNode::Kind::Split:
+      collect_fused(n->child, prefix + "/split[*]", out);
+      return;
+  }
+}
+
+}  // namespace
+
+std::vector<std::vector<Net>> serial_segments(const Net& serial) {
+  std::vector<Net> leaves;
+  serial_leaves(serial, leaves);
+  std::vector<std::vector<Net>> segments;
+  bool open = false;     // the last segment is a box/filter run
+  bool has_box = false;  // ... and already holds its box
+  for (Net& leaf : leaves) {
+    const bool box = leaf->kind == NetNode::Kind::Box;
+    // A second box starts a new segment: box→box keeps its hop, so compute
+    // stages stay pipelined across workers.
+    if (!open || !is_stage(leaf) || (box && has_box)) {
+      segments.emplace_back();
+      has_box = false;
+    }
+    open = is_stage(leaf);
+    has_box = has_box || box;
+    segments.back().push_back(std::move(leaf));
+  }
+  return segments;
+}
+
+std::vector<std::vector<std::string>> fused_segments(const Net& topology) {
+  std::vector<std::vector<std::string>> out;
+  collect_fused(topology, "net", out);
+  return out;
+}
+
 Entity* Network::adopt(std::unique_ptr<Entity> entity) {
   const MutexLock lock(reg_mu_);
   entities_.push_back(std::move(entity));
@@ -1218,14 +1319,33 @@ Entity* Network::instantiate(const Net& node, Entity* successor,
 
   switch (node->kind) {
     case NetNode::Kind::Box:
-      return adopt(std::make_unique<BoxEntity>(*this, prefix + "/box:" + node->name,
+      return adopt(std::make_unique<BoxEntity>(*this, stage_name(node, prefix),
                                                node, successor));
     case NetNode::Kind::Filter:
-      return adopt(
-          std::make_unique<FilterEntity>(*this, prefix + "/filter", node, successor));
+      return adopt(std::make_unique<FilterEntity>(*this, stage_name(node, prefix),
+                                                  node, successor));
     case NetNode::Kind::Serial: {
-      Entity* right = instantiate(node->right, successor, prefix);
-      return instantiate(node->left, right, prefix);
+      // Linear-segment fusion: instantiated right to left, each segment's
+      // stages after the first become inline stages of its first — their
+      // only producer is their left neighbour, by construction.
+      Entity* next = successor;
+      const std::vector<std::vector<Net>> segments = serial_segments(node);
+      std::vector<Entity*> stages;
+      for (auto seg = segments.rbegin(); seg != segments.rend(); ++seg) {
+        stages.clear();
+        for (auto leaf = seg->rbegin(); leaf != seg->rend(); ++leaf) {
+          next = instantiate(*leaf, next, prefix);
+          stages.push_back(next);
+        }
+        stages.pop_back();  // the head keeps its inbox
+        // Under the registry lock: stats() reads fused() under it, while a
+        // split or star may be instantiating this replica mid-run.
+        const MutexLock lock(reg_mu_);
+        for (Entity* stage : stages) {
+          stage->fuse_into(*next);
+        }
+      }
+      return next;
     }
     case NetNode::Kind::Parallel: {
       Entity* merge_target = successor;

@@ -46,22 +46,30 @@ void expect(bool ok, const std::string& what) {
   }
 }
 
+/// NetworkStats::suspensions of the scenario network on this thread,
+/// sampled as its hook is torn down; run_scenario reports it.
+thread_local std::uint64_t t_suspensions = 0;
+
 /// Re-checks the network's conservation laws at every yield point (after
 /// every task the SimExecutor runs), and clears the hook before the
 /// Network it captures is destroyed. Declare right after the Network and
 /// before any Session so unwinding tears down in a safe order.
 class HookGuard {
  public:
-  HookGuard(Sim& sim, const Network& net) : sim_(sim) {
+  HookGuard(Sim& sim, const Network& net) : sim_(sim), net_(net) {
     sim_.set_after_task([&net] { net.check_protocol_invariants(false); });
   }
-  ~HookGuard() { sim_.set_after_task(nullptr); }
+  ~HookGuard() {
+    sim_.set_after_task(nullptr);
+    t_suspensions = net_.stats().suspensions;
+  }
 
   HookGuard(const HookGuard&) = delete;
   HookGuard& operator=(const HookGuard&) = delete;
 
  private:
   Sim& sim_;
+  const Network& net_;
 };
 
 Options sim_options(Sim& sim, unsigned quantum) {
@@ -103,6 +111,35 @@ void scenario_stall_mid_batch(Sim& sim) {
   expect(out.size() == kRecords * 4U,
          "stall-mid-batch lost records: got " + std::to_string(out.size()) +
              " of " + std::to_string(kRecords * 4));
+  net.wait();
+  net.check_protocol_invariants(true);
+}
+
+/// A fused segment `filter >> fanout box >> filter` feeds a box whose
+/// inbox holds 2: the inline stages' emissions land in the head's buffers,
+/// so the *head* must stall with them, park, and resume when the sink
+/// drains — the fused fan-out of one head record is the overshoot.
+void scenario_fused_stall(Sim& sim) {
+  Options o = sim_options(sim, /*quantum=*/4);
+  o.inbox_capacity = 2;
+  Network net(filter("{x} -> {x}") >> fanout("fan", 3) >> filter("{x} -> {x}") >>
+                  ident("sink"),
+              std::move(o));
+  const HookGuard hook(sim, net);
+  Session s = net.open_session();
+  constexpr int kRecords = 6;
+  for (int i = 0; i < kRecords; ++i) {
+    s.input().inject(int_rec(i));
+  }
+  s.close();
+  const auto out = s.output().collect();
+  expect(out.size() == kRecords * 3U,
+         "fused-stall lost records: got " + std::to_string(out.size()) + " of " +
+             std::to_string(kRecords * 3));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    expect(x_of(out[i]) == static_cast<int>(i / 3),
+           "fused-stall reordered the stream at position " + std::to_string(i));
+  }
   net.wait();
   net.check_protocol_invariants(true);
 }
@@ -271,6 +308,7 @@ constexpr Scenario kScenarios[] = {
     {"det-spill", scenario_det_spill},
     {"sync-failfast", scenario_sync_failfast},
     {"drr-flood", scenario_drr_flood},
+    {"fused-stall", scenario_fused_stall},
 };
 
 }  // namespace
@@ -291,6 +329,7 @@ RunResult run_scenario(const std::string& name,
   for (const Scenario& s : kScenarios) {
     if (name == s.name) {
       Sim sim(opts);
+      t_suspensions = 0;
       try {
         s.fn(sim);
       } catch (const snetsac::runtime::ProtocolInvariantError& e) {
@@ -312,6 +351,7 @@ RunResult run_scenario(const std::string& name,
       r.steps = sim.steps_executed();
       r.choices = sim.choice_log();
       r.option_counts = sim.option_counts();
+      r.suspensions = t_suspensions;
       return r;
     }
   }

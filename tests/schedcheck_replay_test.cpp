@@ -53,6 +53,14 @@ TEST(SchedcheckReplay, SyncFailFastPinnedSchedule) {
   EXPECT_GT(r.steps, 5U) << "pinned schedule degenerated — re-pin the seed";
 }
 
+TEST(SchedcheckReplay, FusedStallPinnedSchedule) {
+  const auto r = run_pinned("fused-stall", 2024, SimExecutor::Strategy::kPct);
+  // Six records fan out to eighteen through a fused segment into a
+  // two-slot inbox: the head must have parked on the sink's credit.
+  EXPECT_GT(r.steps, 25U) << "pinned schedule degenerated — re-pin the seed";
+  EXPECT_GE(r.suspensions, 1U) << "the fused head never stalled";
+}
+
 TEST(SchedcheckReplay, PinnedSchedulesAreDeterministic) {
   // The reproducibility contract the failure reports rely on: the same
   // seed must execute the identical decision sequence.

@@ -450,6 +450,51 @@ TEST(Session, WeightedDispatchKeepsMeekSessionProgressingUnderFlood) {
   net.wait();
 }
 
+TEST(Session, BypassInjectNeverOvertakesTheSessionsStagedRecords) {
+  // Several sessions contend for a bounded entry, so the DRR dispatcher
+  // keeps listing and delisting them. A delisted session's next inject
+  // bypasses staging straight into the entry: it must land behind the
+  // records the dispatcher forwarded for that session, never before them
+  // (they may still be in the dispatcher's emit buffer when it delists).
+  constexpr int kSessions = 3;
+  constexpr int kEach = 20000;
+  constexpr int kRounds = 5;
+  Options o;
+  o.workers = 3;
+  o.inbox_capacity = 16;  // the entry refuses often: staging engages
+  Network net(ident("a") >> ident("b"), std::move(o));
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> misordered{0};
+    {
+      std::vector<std::jthread> clients;
+      for (int c = 0; c < kSessions; ++c) {
+        clients.emplace_back([&net, &misordered] {
+          Session s = net.open_session();
+          for (int i = 0; i < kEach; ++i) {
+            Record r = int_rec(i);
+            while (!s.input().try_inject(r)) {
+              std::this_thread::yield();
+            }
+          }
+          const auto out = s.output().collect();
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            if (value_as<int>(out[i].field("x")) != static_cast<int>(i)) {
+              misordered.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          if (out.size() != static_cast<std::size_t>(kEach)) {
+            misordered.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+      }
+    }
+    ASSERT_EQ(misordered.load(), 0)
+        << "a bypassing inject overtook its own session's records (round "
+        << round << ")";
+  }
+  net.wait();
+}
+
 TEST(Session, DetSpillKeepsOrderingOverTheCap) {
   // A deterministic parallel region with one slow branch: later (fast
   // branch) groups pile up in the collector while the head group grinds,

@@ -15,6 +15,15 @@
 ///                   intentionally-broken example stays broken in exactly
 ///                   the intended ways
 ///
+/// Besides the diagnostics, the report lists every linear segment the
+/// runtime fuses (Network::instantiate runs each stage after a segment's
+/// first inline, see snet::serial_segments) as one line,
+///
+///   fused: net/box:computeOpts -> net/filter
+///
+/// with the stage names instantiate gives the entities; `*` stands for the
+/// star stage number or split tag value of replicas created on demand.
+///
 /// Box *declarations* in the program are bound to no-op stubs: the lint
 /// needs only the declared signatures (coordination is data; computation
 /// is irrelevant to shape flow). Exit codes: 0 clean (or expected
@@ -30,6 +39,7 @@
 
 #include "snet/dot.hpp"
 #include "snet/lang.hpp"
+#include "snet/network.hpp"
 #include "snet/verify.hpp"
 
 namespace {
@@ -151,6 +161,14 @@ int main(int argc, char** argv) {
     }
 
     std::printf("network: %s\n", snet::describe(topology).c_str());
+    for (const auto& segment : snet::fused_segments(topology)) {
+      std::string line = "fused: " + segment.front();
+      for (std::size_t i = 1; i < segment.size(); ++i) {
+        line += " -> ";
+        line += segment[i];
+      }
+      std::printf("%s\n", line.c_str());
+    }
     if (report.empty()) {
       std::printf("clean: no diagnostics\n");
     } else {
