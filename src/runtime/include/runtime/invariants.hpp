@@ -84,8 +84,11 @@ bool thread_holds(const void* mu);
 
 #else  // !SNETSAC_CHECKED
 
+// `cond` stays an unevaluated operand, so variables that exist only to be
+// checked are still "used" in unchecked builds; it generates no code.
 #define SNETSAC_INVARIANT(cond, detail_expr) \
   do {                                       \
+    (void)sizeof(!(cond));                   \
   } while (0)
 
 #endif  // SNETSAC_CHECKED

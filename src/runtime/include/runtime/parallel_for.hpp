@@ -19,7 +19,6 @@
 #include <functional>
 
 #include "runtime/executor.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace snetsac::runtime {
 
@@ -33,19 +32,11 @@ void parallel_for_chunks(Executor& exec, std::int64_t begin, std::int64_t end,
                          const std::function<void(std::int64_t, std::int64_t)>& body,
                          unsigned max_tasks = 0);
 
-/// ThreadPool compatibility overload; forwards to the pool's executor.
-inline void parallel_for_chunks(ThreadPool& pool, std::int64_t begin,
-                                std::int64_t end, std::int64_t grain,
-                                const std::function<void(std::int64_t, std::int64_t)>& body,
-                                unsigned max_tasks = 0) {
-  parallel_for_chunks(pool.executor(), begin, end, grain, body, max_tasks);
-}
-
 /// Element-wise convenience wrapper: `body(i)` for every i in [begin, end).
-template <class Pool, class F>
-void parallel_for_each(Pool& pool, std::int64_t begin, std::int64_t end,
+template <class F>
+void parallel_for_each(Executor& exec, std::int64_t begin, std::int64_t end,
                        std::int64_t grain, F&& body) {
-  parallel_for_chunks(pool, begin, end, grain,
+  parallel_for_chunks(exec, begin, end, grain,
                       [&body](std::int64_t lo, std::int64_t hi) {
                         for (std::int64_t i = lo; i < hi; ++i) {
                           body(i);

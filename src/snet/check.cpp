@@ -1,23 +1,8 @@
 #include "snet/check.hpp"
 
-#include <algorithm>
+#include "snet/verify.hpp"
 
 namespace snet {
-
-bool accepts_variant(const MultiType& input, const RecordType& produced) {
-  return std::any_of(input.variants().begin(), input.variants().end(),
-                     [&](const RecordType& w) { return w.included_in(produced); });
-}
-
-namespace {
-
-void add_unique(std::vector<RecordType>& vs, const RecordType& v) {
-  if (std::find(vs.begin(), vs.end(), v) == vs.end()) {
-    vs.push_back(v);
-  }
-}
-
-}  // namespace
 
 MultiType required_input(const Net& n) {
   if (!n) {
@@ -60,145 +45,17 @@ MultiType required_input(const Net& n) {
   throw TypeCheckError("corrupt network node");
 }
 
-MultiType propagate(const Net& n, const MultiType& incoming) {
-  switch (n->kind) {
-    case NetNode::Kind::Box: {
-      const RecordType consumed = n->sig.input.type();
-      std::vector<RecordType> out;
-      for (const auto& v : incoming.variants()) {
-        if (!consumed.included_in(v)) {
-          throw TypeCheckError("box " + n->name + " with input type " +
-                               consumed.to_string() +
-                               " cannot accept records of type " + v.to_string());
-        }
-        const RecordType excess = v.minus(consumed);
-        for (const auto& o : n->sig.outputs) {
-          add_unique(out, o.type().union_with(excess));
-        }
-      }
-      return MultiType(std::move(out));
-    }
-    case NetNode::Kind::Filter: {
-      const RecordType& pat = n->filter->pattern().type;
-      std::vector<RecordType> out;
-      for (const auto& v : incoming.variants()) {
-        if (!pat.included_in(v)) {
-          throw TypeCheckError("filter " + n->filter->to_string() +
-                               " cannot accept records of type " + v.to_string());
-        }
-        const RecordType excess = v.minus(pat);
-        const MultiType declared = n->filter->output_type();
-        for (const auto& ov : declared.variants()) {
-          add_unique(out, ov.union_with(excess));
-        }
-      }
-      return MultiType(std::move(out));
-    }
-    case NetNode::Kind::Serial:
-      return propagate(n->right, propagate(n->left, incoming));
-    case NetNode::Kind::Parallel: {
-      const MultiType left_in = required_input(n->left);
-      const MultiType right_in = required_input(n->right);
-      std::vector<RecordType> to_left;
-      std::vector<RecordType> to_right;
-      for (const auto& v : incoming.variants()) {
-        // The type-level MultiType::match_score — the shared primitive the
-        // ParallelRouter's record-level decision mirrors, so the static
-        // tie verdict cannot drift from the runtime one.
-        const int ls = left_in.match_score(v);
-        const int rs = right_in.match_score(v);
-        if (ls < 0 && rs < 0) {
-          throw TypeCheckError("parallel combinator `" + describe(n) +
-                               "`: records of type " + v.to_string() +
-                               " match neither branch");
-        }
-        // A tie routes non-deterministically: the variant may reach both.
-        if (ls >= rs) {
-          add_unique(to_left, v);
-        }
-        if (rs >= ls) {
-          add_unique(to_right, v);
-        }
-      }
-      MultiType out;
-      if (!to_left.empty()) {
-        out = out.union_with(propagate(n->left, MultiType(std::move(to_left))));
-      }
-      if (!to_right.empty()) {
-        out = out.union_with(propagate(n->right, MultiType(std::move(to_right))));
-      }
-      return out;
-    }
-    case NetNode::Kind::Star: {
-      // Closure over the unfolding: a variant either taps out (matches the
-      // exit pattern's type — definitely, when there is no guard; possibly,
-      // when a guard is present) or enters the replica chain.
-      std::vector<RecordType> exits;
-      std::vector<RecordType> seen;
-      std::vector<RecordType> frontier = incoming.variants();
-      const MultiType child_in = required_input(n->child);
-      while (!frontier.empty()) {
-        std::vector<RecordType> to_child;
-        for (const auto& v : frontier) {
-          if (std::find(seen.begin(), seen.end(), v) != seen.end()) {
-            continue;
-          }
-          seen.push_back(v);
-          const bool may_exit = n->exit.type.included_in(v);
-          const bool must_exit = may_exit && !n->exit.guard.has_value();
-          if (may_exit) {
-            add_unique(exits, v);
-          }
-          if (!must_exit) {
-            if (!accepts_variant(child_in, v)) {
-              throw TypeCheckError(
-                  "serial replication `" + describe(n) + "`: records of type " +
-                  v.to_string() + " neither (unconditionally) match exit pattern " +
-                  n->exit.to_string() + " nor re-enter the replica (input type " +
-                  child_in.to_string() + ")");
-            }
-            add_unique(to_child, v);
-          }
-        }
-        frontier.clear();
-        if (!to_child.empty()) {
-          const MultiType produced = propagate(n->child, MultiType(std::move(to_child)));
-          frontier = produced.variants();
-        }
-      }
-      if (exits.empty()) {
-        throw TypeCheckError("serial replication `" + describe(n) +
-                             "`: no record can ever match the exit pattern " +
-                             n->exit.to_string());
-      }
-      return MultiType(std::move(exits));
-    }
-    case NetNode::Kind::Split: {
-      for (const auto& v : incoming.variants()) {
-        if (!v.contains(n->split_tag)) {
-          throw TypeCheckError("parallel replication `" + describe(n) +
-                               "`: records of type " + v.to_string() +
-                               " lack the replication tag " +
-                               label_display(n->split_tag));
-        }
-      }
-      return propagate(n->child, incoming);
-    }
-    case NetNode::Kind::Sync: {
-      // Pass-through variants plus the merged record (lower bound: the
-      // union of all pattern labels with any triggering variant).
-      RecordType merged;
-      for (const auto& p : n->sync_patterns) {
-        merged = merged.union_with(p.type);
-      }
-      MultiType out = incoming;
-      for (const auto& v : incoming.variants()) {
-        out.add(merged.union_with(v));
-      }
-      return out;
-    }
+MultiType propagate(const Net& net, const MultiType& incoming) {
+  if (incoming.empty()) {
+    return {};
   }
-  throw TypeCheckError("corrupt network node");
+  VerifyOptions opts;
+  opts.seed = incoming;
+  VerifyReport report = verify(net, opts);
+  if (const LintDiagnostic* e = report.first_type_error()) {
+    throw TypeCheckError(e->message);
+  }
+  return std::move(report.output);
 }
 
 NetSignature infer(const Net& net) {

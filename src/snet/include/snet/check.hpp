@@ -18,9 +18,13 @@
 ///     Fig. 2 filter `[{} -> {<k>=1}]` check out against a downstream
 ///     `!!<k>` even though `board`/`opts` "do not occur in the filter".
 ///
-/// Serial composition and serial replication verify connectability and
-/// raise TypeCheckError on mismatch. Output types are lower bounds: by
-/// record subtyping, actual records may always carry additional labels.
+/// Phase 2 is a projection of the shape-flow verifier (verify.hpp), not a
+/// second interpreter: `propagate` runs `verify` seeded with the incoming
+/// variants, raises TypeCheckError with the message of its first type
+/// error (an unroutable record or a star that can never exit), and
+/// otherwise returns the verifier's reachable output set. Output types are
+/// lower bounds: by record subtyping, actual records may always carry
+/// additional labels.
 
 #include <stdexcept>
 #include <string>
@@ -53,13 +57,9 @@ NetSignature infer(const Net& net);
 MultiType required_input(const Net& net);
 
 /// Phase 2 only: output variants produced when \p incoming variants are
-/// fed in. Throws TypeCheckError when a variant cannot be handled.
+/// fed in, each listed once (none for an empty \p incoming). Throws
+/// TypeCheckError when a variant cannot be handled.
 MultiType propagate(const Net& net, const MultiType& incoming);
-
-/// True when a record of (lower-bound) type \p produced is accepted by a
-/// network with input multitype \p input: some input variant's labels are
-/// all guaranteed present.
-bool accepts_variant(const MultiType& input, const RecordType& produced);
 
 }  // namespace snet
 

@@ -98,6 +98,23 @@ inline Net operator|(Net a, Net b) { return parallel(std::move(a), std::move(b))
 /// Structural pretty-printer in the paper's algebraic notation.
 std::string describe(const Net& net);
 
+/// One branch of a flattened parallel combinator, with its combinator path.
+struct ParallelBranch {
+  Net net;
+  std::string path;
+};
+
+/// The branches one N-ary dispatcher routes between for parallel node
+/// \p par at path \p prefix: nested non-deterministic parallels merge into
+/// the dispatcher, each leaf keeping its chain of "/parL" and "/parR"
+/// steps; deterministic parallels below the top stay opaque branches.
+/// Best-match over the merged branches picks the same winners as the
+/// binary cascade (a combined branch's score is the max over its variants
+/// and argmax is associative). `Network::instantiate`, `fused_segments`
+/// and `verify` all walk parallels through this one function.
+std::vector<ParallelBranch> parallel_branches(const Net& par,
+                                              const std::string& prefix);
+
 }  // namespace snet
 
 #endif

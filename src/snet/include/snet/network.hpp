@@ -149,7 +149,9 @@ struct Options {
   /// the producer. Per-session FIFO and det order are preserved; false
   /// restores the per-record scalar path (the bench ablation mode).
   bool batching = true;
-  /// Run static signature inference/checking at construction.
+  /// Has no effect: construction always infers the signature and rejects
+  /// a topology with a type error (see verify.hpp). Kept only because
+  /// benchmark output still prints it.
   bool type_check = true;
   /// Whole-topology shape-flow verification at construction: dead
   /// branches, never-firing synchrocells, unroutable records, star
@@ -304,21 +306,6 @@ class Network {
   /// registered credit waiters below the release watermark (a lost
   /// wakeup: credit exists, nobody was notified).
   void check_protocol_invariants(bool expect_quiescent) const;
-
-  // ------- deprecated single-funnel shims (default session) ------------
-
-  [[deprecated("use input().inject(); ports carry the bounded-stream "
-               "semantics")]]
-  void inject(Record r);
-
-  [[deprecated("use input().close()")]]
-  void close_input();
-
-  [[deprecated("use output().next()")]]
-  std::optional<Record> next_output();
-
-  [[deprecated("use output().collect()")]]
-  std::vector<Record> collect();
 
   // ------- runtime-internal interface (used by entities/ports) ---------
   Scheduler& scheduler() { return *sched_; }

@@ -3,19 +3,21 @@
 
 /// \file verify.hpp
 /// Whole-topology shape-flow verification: an abstract interpretation of
-/// record-type flow over the combinator tree. Where check.cpp's `infer`
-/// stops at the first combinator-compatibility violation, `verify` walks
-/// the *reachable type set* through every component — seeded from the
-/// entry signature (or a caller-supplied client type set), widened through
-/// boxes via their declared output lower bounds, through filters via their
+/// record-type flow over the combinator tree, and the tree's only one —
+/// check.hpp's `infer`/`propagate` are projections of its report. Where
+/// inference throws on the first type error, `verify` walks the
+/// *reachable type set* through every component — seeded from the entry
+/// signature (or a caller-supplied client type set), widened through boxes
+/// via their declared output lower bounds, through filters via their
 /// output specifiers, with flow inheritance and tag operations applied —
 /// and collects every diagnostic it can prove:
 ///
 ///  * `UnroutableRecord` — a reachable type no component at that point
 ///    accepts (box/filter input mismatch, a parallel combinator where no
 ///    branch matches, a split without the replication tag, a star variant
-///    that neither exits nor re-enters). These mirror exactly the cases
-///    `propagate` throws on, and the runtime's NetTypeError / FilterError.
+///    that neither exits nor re-enters). With `StarNoProgress` these are
+///    the *type errors*: `propagate` throws on the first of them, as the
+///    runtime raises NetTypeError / FilterError on such records.
 ///  * `DeadBranch` — a parallel branch that is never in the best-match
 ///    argmax set for any reachable type. Branch scoring goes through
 ///    `detail::ParallelRouter::tied_for`, the same argmax collection the
@@ -47,10 +49,13 @@
 /// a sync slot can be filled by a wider record; config lints depend on
 /// runtime consumption patterns).
 ///
-/// `verify` never throws on topology defects — it reports them all.
-/// `Network` runs it at construction under `Options::verify`
-/// (off / warn-to-stderr / strict-throw); the `snetlint` tool runs it
-/// standalone and renders a DOT overlay (dot.hpp).
+/// `verify` never throws on topology defects — it reports them all,
+/// together with the reachable output set. `Network` runs it once at
+/// construction: `Options::verify` picks what happens to the report
+/// (off / warn-to-stderr / strict-throw), a type error throws
+/// TypeCheckError in every mode, and the output set becomes the network's
+/// signature. The `snetlint` tool runs it standalone and renders a DOT
+/// overlay (dot.hpp).
 
 #include <cstddef>
 #include <stdexcept>
@@ -114,9 +119,15 @@ struct VerifyOptions {
 
 struct VerifyReport {
   std::vector<LintDiagnostic> diagnostics;
+  /// The (lower-bound) record types the topology can emit for the seed:
+  /// unroutable variants dropped, each variant listed once.
+  MultiType output;
 
   bool empty() const { return diagnostics.empty(); }
   bool has_errors() const;
+  /// The first UnroutableRecord or StarNoProgress diagnostic — the defects
+  /// signature inference rejects — or null when there is none.
+  const LintDiagnostic* first_type_error() const;
   std::size_t count(LintCode code) const;
   /// One line per diagnostic, "severity code path: message" — stable
   /// enough for tests to assert on.

@@ -166,4 +166,24 @@ std::string describe(const Net& net) {
   return os.str();
 }
 
+namespace {
+void flatten_branch(const Net& n, std::string path,
+                    std::vector<ParallelBranch>& out) {
+  if (n->kind == NetNode::Kind::Parallel && !n->det) {
+    flatten_branch(n->left, path + "/parL", out);
+    flatten_branch(n->right, path + "/parR", out);
+    return;
+  }
+  out.push_back(ParallelBranch{n, std::move(path)});
+}
+}  // namespace
+
+std::vector<ParallelBranch> parallel_branches(const Net& par,
+                                              const std::string& prefix) {
+  std::vector<ParallelBranch> out;
+  flatten_branch(par->left, prefix + "/parL", out);
+  flatten_branch(par->right, prefix + "/parR", out);
+  return out;
+}
+
 }  // namespace snet

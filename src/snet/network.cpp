@@ -51,30 +51,27 @@ Network::Network(Net topology, Options opts)
   dispatch_mu_.set_order(10, "network.dispatch_mu");
   out_mu_.set_order(20, "network.out_mu");
   in_mu_.set_order(30, "network.in_mu");
-  // The shape-flow verifier runs before fail-fast inference so a broken
-  // topology surfaces its *complete* report (inference stops at the first
-  // violation; the verifier collects them all, plus the liveness and
-  // config diagnostics inference cannot express).
-  if (opts_.verify != VerifyMode::Off) {
-    VerifyOptions vo;
-    vo.det_capacity = opts_.det_capacity;
-    vo.det_fail_fast = opts_.det_overflow == OverflowPolicy::FailFast;
-    vo.output_capacity = opts_.output_capacity;
-    vo.inbox_capacity = opts_.inbox_capacity;
-    VerifyReport report = snet::verify(topology_, vo);
-    if (!report.empty()) {
-      if (opts_.verify == VerifyMode::Strict) {
-        throw VerifyError(std::move(report));
-      }
-      std::fprintf(stderr, "snet verify: %s\n%s",
-                   describe(topology_).c_str(), report.to_string().c_str());
+  // One shape-flow walk yields the complete diagnostic report and the
+  // inferred signature. `Options::verify` decides what the report does
+  // (nothing / stderr / VerifyError on any diagnostic); a type error —
+  // what `infer` throws on — rejects the topology in every mode.
+  VerifyOptions vo;
+  vo.det_capacity = opts_.det_capacity;
+  vo.det_fail_fast = opts_.det_overflow == OverflowPolicy::FailFast;
+  vo.output_capacity = opts_.output_capacity;
+  vo.inbox_capacity = opts_.inbox_capacity;
+  VerifyReport report = snet::verify(topology_, vo);
+  if (opts_.verify != VerifyMode::Off && !report.empty()) {
+    if (opts_.verify == VerifyMode::Strict) {
+      throw VerifyError(std::move(report));
     }
+    std::fprintf(stderr, "snet verify: %s\n%s", describe(topology_).c_str(),
+                 report.to_string().c_str());
   }
-  signature_ = infer(topology_);  // always infer; doubles as a null check
-  if (!opts_.type_check) {
-    // Inference already ran; the flag only controls whether a mismatch is
-    // fatal. Keep it simple: inference throws either way. (Documented.)
+  if (const LintDiagnostic* e = report.first_type_error()) {
+    throw TypeCheckError(e->message);
   }
+  signature_ = NetSignature{required_input(topology_), std::move(report.output)};
   // All networks (and all with-loops) share the process-wide executor by
   // default; opts_.workers survives as this network's concurrency cap.
   // Schedcheck scenarios substitute a deterministic SimExecutor here.
@@ -110,9 +107,9 @@ SessionState* Network::new_session_state(std::uint32_t id, SessionOptions opts) 
 }
 
 SessionState* Network::default_state() {
-  // The default session (id 0) backs input()/output() and the deprecated
-  // single-funnel shims. Created lazily so a client that only ever
-  // open_session()s never owes it a close before wait().
+  // The default session (id 0) backs input()/output(). Created lazily so
+  // a client that only ever open_session()s never owes it a close before
+  // wait().
   SessionState* s = default_session_.load(std::memory_order_acquire);
   if (s != nullptr) {
     return s;
@@ -622,28 +619,6 @@ void Network::port_on_output(SessionState& s, std::function<void(Record)> callba
     out_entity_->poke();
   }
 }
-
-// ------------------------------------------ deprecated single-funnel shims
-
-void Network::inject(Record r) { port_inject(*default_state(), std::move(r)); }
-
-void Network::close_input() { port_close(*default_state()); }
-
-std::optional<Record> Network::next_output() {
-  return port_next(*default_state());
-}
-
-std::vector<Record> Network::collect() {
-  SessionState* s = default_state();
-  port_close(*s);
-  std::vector<Record> all;
-  while (auto r = port_next(*s)) {
-    all.push_back(std::move(*r));
-  }
-  return all;
-}
-
-// -------------------------------------------------------------------------
 
 void Network::wait() {
   exec_.help_until(out_mu_, out_cv_, [&] {
@@ -1222,23 +1197,6 @@ std::string stage_name(const Net& n, const std::string& prefix) {
 }
 
 void collect_fused(const Net& n, const std::string& prefix,
-                   std::vector<std::vector<std::string>>& out);
-
-/// A parallel's branches under instantiate's prefixes: nested
-/// non-deterministic parallels flatten into one dispatcher (the default,
-/// batched instantiation), each leaf branch keeping its path of /parL and
-/// /parR steps.
-void collect_branches(const Net& n, const std::string& prefix,
-                      std::vector<std::vector<std::string>>& out) {
-  if (n->kind == NetNode::Kind::Parallel && !n->det) {
-    collect_branches(n->left, prefix + "/parL", out);
-    collect_branches(n->right, prefix + "/parR", out);
-    return;
-  }
-  collect_fused(n, prefix, out);
-}
-
-void collect_fused(const Net& n, const std::string& prefix,
                    std::vector<std::vector<std::string>>& out) {
   switch (n->kind) {
     case NetNode::Kind::Box:
@@ -1259,8 +1217,10 @@ void collect_fused(const Net& n, const std::string& prefix,
       }
       return;
     case NetNode::Kind::Parallel:
-      collect_branches(n->left, prefix + "/parL", out);
-      collect_branches(n->right, prefix + "/parR", out);
+      // Names follow the default (batched) instantiation.
+      for (const ParallelBranch& b : parallel_branches(n, prefix)) {
+        collect_fused(b.net, b.path, out);
+      }
       return;
     case NetNode::Kind::Star:
       collect_fused(n->child, prefix + "/star/rep*", out);
@@ -1360,28 +1320,22 @@ Entity* Network::instantiate(const Net& node, Entity* successor,
                                                    coll->scope())));
       }
       // Nested non-deterministic parallels flatten into one N-ary
-      // dispatcher: best-match over the union of branches picks the same
-      // winner as the binary cascade (a combined branch's score is the max
-      // over its variants, and argmax is associative), so `A | B | C`
-      // costs one routing decision and one hop instead of a chain of
-      // binary ones. Det parallels keep their own entry/collector bracket
-      // and are instantiated as opaque branches.
-      // Scalar ablation mode keeps the binary dispatcher cascade the
-      // pre-batch runtime built.
+      // dispatcher (see parallel_branches), so `A | B | C` costs one
+      // routing decision and one hop instead of a chain of binary ones.
+      // Det parallels keep their own entry/collector bracket and are
+      // instantiated as opaque branches. Scalar ablation mode keeps the
+      // binary dispatcher cascade the pre-batch runtime built.
+      const std::vector<ParallelBranch> leaves =
+          opts_.batching
+              ? parallel_branches(node, prefix)
+              : std::vector<ParallelBranch>{{node->left, prefix + "/parL"},
+                                            {node->right, prefix + "/parR"}};
       std::vector<ParallelEntity::Branch> branches;
-      const std::function<void(const Net&, const std::string&)> add_branch =
-          [&](const Net& n, const std::string& pfx) {
-            if (n->kind == NetNode::Kind::Parallel && !n->det &&
-                opts_.batching) {
-              add_branch(n->left, pfx + "/parL");
-              add_branch(n->right, pfx + "/parR");
-              return;
-            }
-            branches.push_back(ParallelEntity::Branch{
-                required_input(n), instantiate(n, merge_target, pfx)});
-          };
-      add_branch(node->left, prefix + "/parL");
-      add_branch(node->right, prefix + "/parR");
+      branches.reserve(leaves.size());
+      for (const ParallelBranch& b : leaves) {
+        branches.push_back(ParallelEntity::Branch{
+            required_input(b.net), instantiate(b.net, merge_target, b.path)});
+      }
       Entity* dispatcher = adopt(std::make_unique<ParallelEntity>(
           *this, prefix + "/par", std::move(branches)));
       if (det_entry != nullptr) {

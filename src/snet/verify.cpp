@@ -60,6 +60,15 @@ std::size_t VerifyReport::count(LintCode code) const {
                     [&](const LintDiagnostic& d) { return d.code == code; }));
 }
 
+const LintDiagnostic* VerifyReport::first_type_error() const {
+  const auto it = std::find_if(
+      diagnostics.begin(), diagnostics.end(), [](const LintDiagnostic& d) {
+        return d.code == LintCode::UnroutableRecord ||
+               d.code == LintCode::StarNoProgress;
+      });
+  return it == diagnostics.end() ? nullptr : &*it;
+}
+
 std::string VerifyReport::to_string() const {
   std::string out;
   for (const auto& d : diagnostics) {
@@ -75,6 +84,14 @@ void add_unique(std::vector<RecordType>& vs, const RecordType& v) {
   if (std::find(vs.begin(), vs.end(), v) == vs.end()) {
     vs.push_back(v);
   }
+}
+
+/// True when a record of (lower-bound) type \p produced is accepted by a
+/// network with input multitype \p input: some input variant's labels are
+/// all guaranteed present.
+bool accepts_variant(const MultiType& input, const RecordType& produced) {
+  return std::any_of(input.variants().begin(), input.variants().end(),
+                     [&](const RecordType& w) { return w.included_in(produced); });
 }
 
 /// Per-run analysis state. Post-pass bookkeeping is keyed by tree-position
@@ -122,27 +139,11 @@ struct Ctx {
   }
 };
 
-/// The flattened branch list of a parallel combinator — the exact
-/// recursion `Network::instantiate`'s add_branch runs (nested
-/// non-deterministic parallels merge into one N-ary dispatcher; det
-/// parallels stay opaque branches). The scalar-ablation runtime keeps the
-/// binary cascade instead, but the winner sets are identical: a combined
-/// branch's score is the max over its variants' scores and argmax is
-/// associative, so verdicts here cover both modes.
-void collect_branches(const Net& n, const std::string& prefix,
-                      std::vector<std::pair<Net, std::string>>& out) {
-  if (n->kind == NetNode::Kind::Parallel && !n->det) {
-    collect_branches(n->left, prefix + "/parL", out);
-    collect_branches(n->right, prefix + "/parR", out);
-    return;
-  }
-  out.emplace_back(n, prefix);
-}
-
-/// Forward shape flow: the verifier's non-throwing mirror of
-/// check.cpp's `propagate`. Unhandleable variants become diagnostics and
-/// are dropped from the flow instead of aborting the walk, so one pass
-/// reports every defect. Returns the (lower-bound) output type set.
+/// Forward shape flow — the one shape-flow interpreter (check.cpp's
+/// `propagate` is this walk, throwing on its first type error).
+/// Unhandleable variants become diagnostics and are dropped from the flow
+/// instead of aborting the walk, so one pass reports every defect. Returns
+/// the (lower-bound) output type set.
 MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
                Ctx& ctx) {
   if (incoming.empty()) {
@@ -189,25 +190,26 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
     case NetNode::Kind::Serial:
       return flow(n->right, flow(n->left, incoming, path, ctx), path, ctx);
     case NetNode::Kind::Parallel: {
-      std::vector<std::pair<Net, std::string>> branches;
-      collect_branches(n->left, path + "/parL", branches);
-      collect_branches(n->right, path + "/parR", branches);
+      // The flattened branch list `Network::instantiate` builds. The
+      // scalar-ablation runtime keeps the binary cascade instead, but the
+      // winner sets are identical, so verdicts here cover both modes.
+      const std::vector<ParallelBranch> branches = parallel_branches(n, path);
       const std::string dpath = path + "/par";
       auto [it, fresh] = ctx.parallels.try_emplace(dpath);
       Ctx::ParallelState& st = it->second;
       if (fresh) {
         st.node = n;
         st.hit.assign(branches.size(), false);
-        for (const auto& [bn, bp] : branches) {
-          st.branch_nodes.push_back(bn);
-          st.branch_paths.push_back(bp);
+        for (const ParallelBranch& b : branches) {
+          st.branch_nodes.push_back(b.net);
+          st.branch_paths.push_back(b.path);
         }
         ctx.parallel_order.push_back(dpath);
       }
       std::vector<MultiType> inputs;
       inputs.reserve(branches.size());
-      for (const auto& [bn, bp] : branches) {
-        inputs.push_back(required_input(bn));
+      for (const ParallelBranch& b : branches) {
+        inputs.push_back(required_input(b.net));
       }
       std::vector<std::vector<RecordType>> to(branches.size());
       for (const auto& v : incoming.variants()) {
@@ -231,9 +233,8 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
       MultiType out;
       for (std::size_t b = 0; b < branches.size(); ++b) {
         if (!to[b].empty()) {
-          out = out.union_with(
-              flow(branches[b].first, MultiType(std::move(to[b])),
-                   branches[b].second, ctx));
+          out = out.union_with(flow(branches[b].net, MultiType(std::move(to[b])),
+                                    branches[b].path, ctx));
         }
       }
       return out;
@@ -246,10 +247,11 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
         st.node = n;
         ctx.star_order.push_back(spath);
       }
-      // Closure over the unfolding, as in propagate: a variant either taps
-      // out at the exit pattern or re-enters the replica; replica outputs
-      // join the frontier until no new variant appears. All unfolded
-      // stages share one static position — "star/rep*".
+      // Closure over the unfolding: a variant either taps out at the exit
+      // pattern (definitely, when there is no guard; possibly, when a
+      // guard is present) or re-enters the replica; replica outputs join
+      // the frontier until no new variant appears. All unfolded stages
+      // share one static position — "star/rep*".
       std::vector<RecordType> exits;
       std::vector<RecordType> seen;
       std::vector<RecordType> frontier = incoming.variants();
@@ -329,8 +331,12 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
           }
         }
       }
-      // Pass-through variants plus the merged record, as in propagate.
-      std::vector<RecordType> out = incoming.variants();
+      // Pass-through variants plus the merged record (lower bound: the
+      // union of all pattern labels with any triggering variant).
+      std::vector<RecordType> out;
+      for (const auto& v : incoming.variants()) {
+        add_unique(out, v);
+      }
       for (const auto& v : incoming.variants()) {
         add_unique(out, merged.union_with(v));
       }
@@ -358,17 +364,11 @@ void walk_topology(const Net& n, const std::string& path, Fn&& fn) {
       walk_topology(n->left, path, fn);
       walk_topology(n->right, path, fn);
       return;
-    case NetNode::Kind::Parallel: {
-      std::vector<std::pair<Net, std::string>> branches;
-      collect_branches(n->left, path + "/parL", branches);
-      collect_branches(n->right, path + "/parR", branches);
-      for (const auto& [bn, bp] : branches) {
-        if (bn.get() != n.get()) {
-          walk_topology(bn, bp, fn);
-        }
+    case NetNode::Kind::Parallel:
+      for (const ParallelBranch& b : parallel_branches(n, path)) {
+        walk_topology(b.net, b.path, fn);
       }
       return;
-    }
     case NetNode::Kind::Star:
       walk_topology(n->child, path + "/star/rep*", fn);
       return;
@@ -489,9 +489,10 @@ VerifyReport verify(const Net& net, const VerifyOptions& opts) {
     throw std::invalid_argument("verify: null topology");
   }
   Ctx ctx;
+  MultiType output;
   try {
     const MultiType seed = opts.seed.empty() ? required_input(net) : opts.seed;
-    flow(net, seed, "net", ctx);
+    output = flow(net, seed, "net", ctx);
   } catch (const TypeCheckError& e) {
     // required_input only throws on corrupt/null subnodes — surface it
     // rather than aborting the lint run.
@@ -541,7 +542,7 @@ VerifyReport verify(const Net& net, const VerifyOptions& opts) {
   }
 
   config_lint(net, opts, ctx);
-  return VerifyReport{std::move(ctx.diags)};
+  return VerifyReport{std::move(ctx.diags), std::move(output)};
 }
 
 }  // namespace snet

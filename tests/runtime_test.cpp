@@ -1,4 +1,4 @@
-/// Tests for the threading substrate: thread pool, MPSC queue,
+/// Tests for the threading substrate: executor sizing, MPSC queue,
 /// parallel_for chunking.
 
 #include <atomic>
@@ -10,9 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "runtime/env.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/mpsc_queue.hpp"
 #include "runtime/parallel_for.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace rt = snetsac::runtime;
 
@@ -28,35 +28,9 @@ TEST(Env, FallbacksAndParsing) {
   EXPECT_GE(rt::hardware_threads(), 1U);
 }
 
-TEST(ThreadPool, ExecutesSubmittedTasks) {
-  rt::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  while (count.load() < 100) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.size(), 2U);
-  EXPECT_GE(pool.tasks_executed(), 100U);
-}
-
-TEST(ThreadPool, ZeroThreadsPromotedToOne) {
-  rt::ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1U);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> count{0};
-  {
-    rt::ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-  }
-  // Destructor waits for workers, which drain the queue before exiting.
-  EXPECT_EQ(count.load(), 50);
+TEST(Executor, ZeroThreadsPromotedToOne) {
+  rt::Executor exec(0);
+  EXPECT_EQ(exec.size(), 1U);
 }
 
 TEST(MpscQueue, FifoOrderSingleProducer) {
@@ -108,9 +82,9 @@ TEST(MpscQueue, DrainIntoBatchesInFifoOrder) {
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
-  rt::ThreadPool pool(3);
+  rt::Executor exec(3);
   std::vector<std::atomic<int>> hits(1000);
-  rt::parallel_for_each(pool, 0, 1000, 10, [&](std::int64_t i) {
+  rt::parallel_for_each(exec, 0, 1000, 10, [&](std::int64_t i) {
     hits[static_cast<std::size_t>(i)].fetch_add(1);
   });
   for (const auto& h : hits) {
@@ -119,23 +93,23 @@ TEST(ParallelFor, CoversRangeExactlyOnce) {
 }
 
 TEST(ParallelFor, EmptyAndSingleElementRanges) {
-  rt::ThreadPool pool(2);
+  rt::Executor exec(2);
   int calls = 0;
-  rt::parallel_for_chunks(pool, 5, 5, 1, [&](std::int64_t, std::int64_t) { ++calls; });
+  rt::parallel_for_chunks(exec, 5, 5, 1, [&](std::int64_t, std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   std::atomic<int> sum{0};
-  rt::parallel_for_each(pool, 41, 42, 1, [&](std::int64_t i) {
+  rt::parallel_for_each(exec, 41, 42, 1, [&](std::int64_t i) {
     sum.fetch_add(static_cast<int>(i));
   });
   EXPECT_EQ(sum.load(), 41);
 }
 
 TEST(ParallelFor, RespectsGrainAsSequentialFallback) {
-  rt::ThreadPool pool(4);
+  rt::Executor exec(4);
   // grain larger than extent => a single chunk on the calling thread.
   const auto caller = std::this_thread::get_id();
   std::vector<std::thread::id> ids;
-  rt::parallel_for_chunks(pool, 0, 100, 1000, [&](std::int64_t, std::int64_t) {
+  rt::parallel_for_chunks(exec, 0, 100, 1000, [&](std::int64_t, std::int64_t) {
     ids.push_back(std::this_thread::get_id());
   });
   ASSERT_EQ(ids.size(), 1U);
@@ -143,9 +117,9 @@ TEST(ParallelFor, RespectsGrainAsSequentialFallback) {
 }
 
 TEST(ParallelFor, PropagatesFirstException) {
-  rt::ThreadPool pool(2);
+  rt::Executor exec(2);
   EXPECT_THROW(
-      rt::parallel_for_each(pool, 0, 100, 1,
+      rt::parallel_for_each(exec, 0, 100, 1,
                             [&](std::int64_t i) {
                               if (i == 37) {
                                 throw std::runtime_error("boom");
@@ -155,10 +129,10 @@ TEST(ParallelFor, PropagatesFirstException) {
 }
 
 TEST(ParallelFor, ChunkBoundsPartitionRange) {
-  rt::ThreadPool pool(4);
+  rt::Executor exec(4);
   std::mutex mu;
   std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-  rt::parallel_for_chunks(pool, 10, 210, 1, [&](std::int64_t lo, std::int64_t hi) {
+  rt::parallel_for_chunks(exec, 10, 210, 1, [&](std::int64_t lo, std::int64_t hi) {
     const std::lock_guard lock(mu);
     chunks.emplace_back(lo, hi);
   });
@@ -176,9 +150,9 @@ class ParallelForSweep
 
 TEST_P(ParallelForSweep, SumMatchesSequential) {
   const auto [workers, grain] = GetParam();
-  rt::ThreadPool pool(workers);
+  rt::Executor exec(workers);
   std::atomic<std::int64_t> sum{0};
-  rt::parallel_for_each(pool, 0, 10'000, grain,
+  rt::parallel_for_each(exec, 0, 10'000, grain,
                         [&](std::int64_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 10'000LL * 9'999 / 2);
 }

@@ -135,6 +135,12 @@ TEST(Check, SyncSignature) {
   EXPECT_TRUE(has_merged);
 }
 
+TEST(Check, SyncOutputListsEachVariantOnce) {
+  // Both slot variants pass through, and each yields the same merged
+  // variant {a, b}: the signature lists it once.
+  EXPECT_EQ(infer(sync({"{a}", "{b}"})).output.to_string(), "{a} | {b} | {a, b}");
+}
+
 TEST(Check, DescribeRendersAlgebraicNotation) {
   const auto n = mkbox("A", "(x) -> (y)") >>
                  star(split(mkbox("B", "(y) -> (y) | (z, <done>)"), "t"),
