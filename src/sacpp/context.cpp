@@ -5,8 +5,7 @@
 namespace sac {
 
 Context& default_context() {
-  static Context ctx{snetsac::runtime::default_sac_threads(), 1024,
-                     snetsac::runtime::env_int("SAC_COMPILED", 1) != 0};
+  static Context ctx{snetsac::runtime::default_sac_threads(), 1024};
   return ctx;
 }
 

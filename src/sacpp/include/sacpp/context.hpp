@@ -23,16 +23,11 @@ struct Context {
   /// Minimum number of index-space elements per chunk; prevents
   /// parallelising trivially small with-loops.
   std::int64_t grain = 1024;
-  /// Selects the compiled with-loop engine (segment decomposition + typed
-  /// kernels) over the interpreted per-element reference engine. The
-  /// ablation switch of the data-parallel half, mirroring what
-  /// `Options::batching` is to the S-Net coordination half.
-  bool compiled = true;
 };
 
 /// The process-wide default context. Initialised once from `SAC_THREADS`
-/// (fallback: hardware concurrency) and `SAC_COMPILED` (fallback: 1).
-/// Mutable so tests and benchmarks can sweep thread counts and engines.
+/// (fallback: hardware concurrency). Mutable so tests and benchmarks can
+/// sweep thread counts.
 Context& default_context();
 
 /// The executor with-loops execute on: the process-wide pool shared with

@@ -22,21 +22,15 @@
 /// later generator overwrites an earlier one ("the array's value at index
 /// location [3] ... is set to 2 rather than to 1").
 ///
-/// Two execution engines share these semantics (`Context::compiled`
-/// selects; default on — the flag mirrors `Options::batching` on the S-Net
-/// side as the ablation switch):
-///
-///  * **Compiled** — the unit of execution is the contiguous row segment.
-///    Generators are decomposed at entry into a SegmentPlan (overlap
-///    resolved at setup, so no cell is written twice); each segment runs as
-///    a plain countable loop over raw storage — `std::fill` for constant
-///    bodies, the typed kernel for `gen_kernel` generators, a tight
-///    index-reusing loop for `std::function` bodies. Executor chunking
-///    distributes segment ranges.
-///  * **Interpreted (reference)** — the original per-element engine:
-///    recursive per-axis iteration calling `Body` through `std::function`
-///    with full index-vector linearisation per cell. Kept as the ablation
-///    baseline and semantic reference.
+/// The engine is *compiled*: the unit of execution is the contiguous row
+/// segment. Generators are decomposed at entry into a SegmentPlan (overlap
+/// resolved at setup, so no cell is written twice); each segment runs as a
+/// plain countable loop over raw storage — `std::fill` for constant bodies,
+/// the typed kernel for `gen_kernel` generators, a tight index-reusing loop
+/// for `std::function` bodies. Executor chunking distributes segment
+/// ranges. The tests compare it against an interpreted per-element engine
+/// (tests/with_loop_reference.hpp), which reaches the generator list
+/// through the `testing::ReferenceEngine` friend hook below.
 ///
 /// `Fused` (below) extends the compiled engine across *chains* of
 /// with-loops: elementwise consumers (map / zip_with / fold) run inside the
@@ -55,6 +49,12 @@
 #include "sacpp/segment_plan.hpp"
 
 namespace sac {
+
+namespace testing {
+/// The interpreted with-loop engine, the test oracle; defined only in
+/// tests/with_loop_reference.hpp.
+struct ReferenceEngine;
+}  // namespace testing
 
 namespace detail {
 
@@ -163,9 +163,8 @@ class With {
   }
 
   /// Constant-body generators, e.g. `([i,j,0] <= iv <= [i,j,8]) : false`.
-  /// The compiled engine turns their segments into `std::fill`/memset; no
-  /// Body is materialised at all (both engines branch on is_const), so
-  /// building one costs two Index moves and nothing else.
+  /// Their segments become `std::fill`/memset; no Body is materialised at
+  /// all, so building one costs two Index moves and nothing else.
   With& gen_val(SpecIndex lb, SpecIndex ub, T value) {
     check_bounds_rank(lb, ub);
     if (gens_.capacity() == 0) {
@@ -192,8 +191,8 @@ class With {
   ///    arity must equal the result rank — wrapped into a segment kernel
   ///    whose inner loop inlines \p f (no per-element indirect call, no
   ///    index vectors).
-  /// A reference `Body` is synthesised alongside so `Context::compiled =
-  /// false` still evaluates the same generator per element.
+  /// A per-element `Body` view of \p f is synthesised alongside, for the
+  /// interpreted test oracle.
   template <class F>
   With& gen_kernel(SpecIndex lb, SpecIndex ub, F f) {
     check_bounds_rank(lb, ub);
@@ -312,11 +311,7 @@ class With {
       if (est == 0) {
         continue;
       }
-      if (ctx.compiled) {
-        acc = fold_generator_compiled(g, combine, std::move(acc), neutral, ctx, est);
-      } else {
-        acc = fold_generator_reference(g, combine, std::move(acc), neutral, ctx, est);
-      }
+      acc = fold_generator(g, combine, std::move(acc), neutral, ctx, est);
     }
     return acc;
   }
@@ -324,13 +319,14 @@ class With {
  private:
   template <class, class>
   friend class Fused;
+  friend struct testing::ReferenceEngine;
 
   static constexpr int kRawKernel = -2;
 
   struct Generator {
     GeneratorSpec spec;
-    Body body;        // always present: the interpreted/reference evaluator
-    Kernel kernel;    // optional typed segment kernel (compiled engine)
+    Body body;        // per-element body; for gen_kernel, the oracle's view
+    Kernel kernel;    // optional typed segment kernel
     bool is_const = false;
     T const_val{};
     int coord_arity = -1;  // 1..3 for coordinate kernels, kRawKernel, or -1
@@ -371,54 +367,6 @@ class With {
       n *= axis_count(g, a);
     }
     return n;
-  }
-
-  static bool axis_member(const GeneratorSpec& g, std::size_t axis, std::int64_t pos) {
-    if (g.step.empty()) {
-      return true;
-    }
-    const std::int64_t st = g.step[axis];
-    const std::int64_t wd = g.width.empty() ? 1 : g.width[axis];
-    return (pos - g.lb[axis]) % st < wd;
-  }
-
-  /// Visits every generator index whose axis-0 component lies in
-  /// [row_lo, row_hi), in row-major order (reference engine).
-  template <class F>
-  static void iterate_rows(const GeneratorSpec& g, std::int64_t row_lo,
-                           std::int64_t row_hi, const F& visit) {
-    const std::size_t rank = g.lb.size();
-    if (rank == 0) {
-      // A rank-0 generator denotes the single empty index vector.
-      Index iv;
-      visit(iv);
-      return;
-    }
-    Index iv(rank, 0);
-    // Recursive descent over axes, expressed iteratively for axis 0.
-    for (std::int64_t r = row_lo; r < row_hi; ++r) {
-      if (!axis_member(g, 0, r)) {
-        continue;
-      }
-      iv[0] = r;
-      iterate_axis(g, iv, 1, visit);
-    }
-  }
-
-  template <class F>
-  static void iterate_axis(const GeneratorSpec& g, Index& iv, std::size_t axis,
-                           const F& visit) {
-    if (axis == g.lb.size()) {
-      visit(const_cast<const Index&>(iv));
-      return;
-    }
-    for (std::int64_t p = g.lb[axis]; p < g.ub[axis]; ++p) {
-      if (!axis_member(g, axis, p)) {
-        continue;
-      }
-      iv[axis] = p;
-      iterate_axis(g, iv, axis + 1, visit);
-    }
   }
 
   /// \p est is the generator's member count, computed once by the caller
@@ -511,16 +459,6 @@ class With {
       validate_against(gens_[gi], shape, plan.generator_elements(gi));
     }
   }
-
-  void apply_generators(Array<T>& result, const Context& ctx) const {
-    if (ctx.compiled) {
-      apply_compiled(result, ctx);
-    } else {
-      apply_reference(result, ctx);
-    }
-  }
-
-  // ---- compiled engine ---------------------------------------------------
 
   /// Calls run(pre, col_lo, col_hi) for every contiguous last-axis run of
   /// generator \p g, in row-major order; \p pre (caller-provided rank-1
@@ -682,7 +620,7 @@ class With {
     }
   }
 
-  void apply_compiled_seq(Array<T>& result, const Shape& shp,
+  void apply_seq(Array<T>& result, const Shape& shp,
                           const std::int64_t* ests) const {
     const int rank = shp.rank();
     storage* out = nullptr;  // detach lazily: empty loops must not COW
@@ -762,11 +700,10 @@ class With {
     }
   }
 
-  void apply_compiled(Array<T>& result, const Context& ctx) const {
+  void apply_generators(Array<T>& result, const Context& ctx) const {
     const Shape& shp = result.shape();
     prevalidate(shp);
-    // One element_estimate per generator per apply (the interpreted path
-    // used to recompute it up to 3x); doubles as the size trigger for the
+    // One element_estimate per generator per apply; doubles as the size trigger for the
     // plan-free sequential path. Stack storage for the usual few-generator
     // case — this runs on every with-loop call.
     std::int64_t ests_buf[16];
@@ -786,7 +723,7 @@ class With {
       return;
     }
     if (ctx.threads <= 1 || total < ctx.grain) {
-      apply_compiled_seq(result, shp, ests);
+      apply_seq(result, shp, ests);
       return;
     }
     const SegmentPlan plan = build_plan(shp, /*resolve_overlap=*/true,
@@ -841,9 +778,9 @@ class With {
   }
 
   template <class C>
-  T fold_generator_compiled(const Generator& g, const C& combine, T acc,
-                            const T& neutral, const Context& ctx,
-                            std::int64_t est) const {
+  T fold_generator(const Generator& g, const C& combine, T acc,
+                   const T& neutral, const Context& ctx,
+                   std::int64_t est) const {
     const int rank0 = static_cast<int>(g.spec.lb.size());
     if (ctx.threads <= 1 || est < ctx.grain) {
       // Plan-free sequential fold over the generator's runs; scratch
@@ -978,95 +915,15 @@ class With {
     return acc;
   }
 
-  // ---- interpreted/reference engine --------------------------------------
-
-  void apply_reference(Array<T>& result, const Context& ctx) const {
-    const Shape& shp = result.shape();
-    for (const auto& g : gens_) {
-      validate_striding(g.spec);  // before any member-count division by step
-      const std::int64_t est = element_estimate(g.spec);
-      validate_against(g, shp, est);
-      if (est == 0) {
-        continue;
-      }
-      auto& buf = result.mutable_data();
-      const auto write = [&](const Index& iv) {
-        buf[static_cast<std::size_t>(shp.linearize(iv))] = static_cast<storage>(
-            g.is_const ? g.const_val : g.body(iv));
-      };
-      if (g.spec.lb.empty()) {
-        iterate_rows(g.spec, 0, 1, write);
-        continue;
-      }
-      const std::int64_t rows = g.spec.ub[0] - g.spec.lb[0];
-      const std::int64_t per_row = est / std::max<std::int64_t>(rows, 1);
-      const std::int64_t row_grain =
-          per_row > 0
-              ? std::max<std::int64_t>(1, ctx.grain / std::max<std::int64_t>(per_row, 1))
-              : 1;
-      if (ctx.threads <= 1 || est < ctx.grain) {
-        iterate_rows(g.spec, g.spec.lb[0], g.spec.ub[0], write);
-      } else {
-        snetsac::runtime::parallel_for_chunks(
-            sac_pool(), g.spec.lb[0], g.spec.ub[0], row_grain,
-            [&](std::int64_t lo, std::int64_t hi) {
-              iterate_rows(g.spec, lo, hi, write);
-            },
-            ctx.threads);
-      }
-    }
-  }
-
-  T fold_generator_reference(const Generator& g,
-                             const std::function<T(T, T)>& combine, T acc,
-                             const T& neutral, const Context& ctx,
-                             std::int64_t est) const {
-    const auto eval = [&g](const Index& iv) {
-      return g.is_const ? g.const_val : g.body(iv);
-    };
-    if (g.spec.lb.empty() || ctx.threads <= 1 || est < ctx.grain) {
-      const std::int64_t lo = g.spec.lb.empty() ? 0 : g.spec.lb[0];
-      const std::int64_t hi = g.spec.lb.empty() ? 1 : g.spec.ub[0];
-      iterate_rows(g.spec, lo, hi,
-                   [&](const Index& iv) { acc = combine(acc, eval(iv)); });
-      return acc;
-    }
-    // Parallel fold: fixed chunk ranges over axis 0, one partial per chunk,
-    // partials combined in index order (associativity is enough).
-    const std::int64_t rows = g.spec.ub[0] - g.spec.lb[0];
-    const std::int64_t chunks =
-        std::min<std::int64_t>(ctx.threads, std::max<std::int64_t>(rows, 1));
-    const std::int64_t chunk_rows = (rows + chunks - 1) / chunks;
-    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
-    for (std::int64_t lo = g.spec.lb[0]; lo < g.spec.ub[0]; lo += chunk_rows) {
-      ranges.emplace_back(lo, std::min(lo + chunk_rows, g.spec.ub[0]));
-    }
-    std::vector<storage> partials(ranges.size(), static_cast<storage>(neutral));
-    snetsac::runtime::parallel_for_each(
-        sac_pool(), 0, static_cast<std::int64_t>(ranges.size()), 1,
-        [&](std::int64_t c) {
-          T part = neutral;
-          iterate_rows(g.spec, ranges[static_cast<std::size_t>(c)].first,
-                       ranges[static_cast<std::size_t>(c)].second,
-                       [&](const Index& iv) { part = combine(part, eval(iv)); });
-          partials[static_cast<std::size_t>(c)] = static_cast<storage>(part);
-        });
-    for (std::size_t c = 0; c < partials.size(); ++c) {
-      acc = combine(acc, static_cast<T>(partials[c]));
-    }
-    return acc;
-  }
-
   std::vector<Generator> gens_;
 };
 
 /// Fused with-loop chain: a lazy with-loop (or plain array) with a stack of
 /// elementwise post-stages. Terminals (`to_array`, `fold`) execute the whole
 /// chain in one segment pass of the root — chained producers never
-/// materialise. With `Context::compiled == false` the chain instead
-/// materialises the root with the interpreted engine and applies the stages
-/// elementwise (the unfused ablation), so compiled-vs-reference equivalence
-/// covers fusion too.
+/// materialise. The interpreted test oracle (tests/with_loop_reference.hpp)
+/// instead materialises the root and applies the stages elementwise, so
+/// the engine equivalence tests cover fusion too.
 template <class T, class Post>
 class Fused {
  public:
@@ -1105,15 +962,6 @@ class Fused {
     Array<R> out(shape_, R{});
     const std::int64_t n = shape_.element_count();
     if (n == 0) {
-      return out;
-    }
-    if (!ctx.compiled) {
-      const Array<T> root = materialize_root(ctx);
-      auto& ob = out.mutable_data();
-      for (std::int64_t i = 0; i < n; ++i) {
-        ob[static_cast<std::size_t>(i)] =
-            static_cast<RS>(post_(root.linear(i), i));
-      }
       return out;
     }
     if (with_.gens_.empty()) {
@@ -1158,14 +1006,6 @@ class Fused {
     const std::int64_t n = shape_.element_count();
     if (n == 0) {
       return neutral;
-    }
-    if (!ctx.compiled) {
-      const Array<T> root = materialize_root(ctx);
-      R acc = neutral;
-      for (std::int64_t i = 0; i < n; ++i) {
-        acc = combine(acc, post_(root.linear(i), i));
-      }
-      return acc;
     }
     if (with_.gens_.empty()) {
       R acc = neutral;
@@ -1237,6 +1077,7 @@ class Fused {
   friend class Fused;
   template <class X>
   friend Fused<X> lazy(const Array<X>& a);
+  friend struct testing::ReferenceEngine;
 
   Fused(With<T> w, Shape shp, Array<T> src, T def, bool has_src, Post post)
       : with_(std::move(w)),
@@ -1245,11 +1086,6 @@ class Fused {
         def_(std::move(def)),
         has_src_(has_src),
         post_(std::move(post)) {}
-
-  Array<T> materialize_root(const Context& ctx) const {
-    return has_src_ ? with_.modarray(src_, ctx)
-                    : with_.genarray(shape_, def_, ctx);
-  }
 
   /// Drives segments [lo, hi), producing each cell's root value and linear
   /// offset through \p emit (a template parameter, so the post chain and

@@ -6,11 +6,6 @@ namespace snet::detail {
 
 // ---------------------------------------------------------------- Output
 
-bool OutputEntity::try_push(Record& r, bool from_deferred) {
-  return net_.push_output(r, this, from_deferred) ==
-         Network::PushOutcome::kAccepted;
-}
-
 void OutputEntity::on_record(Record r) {
   // Virtual dispatch severs the REQUIRES chain: every override re-asserts
   // the quantum role at entry (here and in every on_record/on_poke below).
@@ -28,21 +23,11 @@ void OutputEntity::on_record(Record r) {
     defer_record(s, std::move(r));
     return;
   }
-  if (batching()) {
-    // Stage for the quantum-end batch push: one buffer-lock acquisition
-    // and one client wakeup for the whole quantum. The staged record
-    // stays live until run_quantum's flush (after on_quantum_end), and
-    // push_output_batch keeps per-session FIFO for refusals.
-    staged_.push_back(std::move(r));
-    return;
-  }
-  if (!try_push(r, /*from_deferred=*/false)) {
-    // The session's output credit account is exhausted. Do NOT stall this
-    // shared entity (that was the cross-session head-of-line block):
-    // defer only this session's record; push_output registered us for a
-    // poke when the client replenishes the account.
-    defer_record(s, std::move(r));
-  }
+  // Stage for the quantum-end batch push: one buffer-lock acquisition and
+  // one client wakeup for the whole quantum. The staged record stays live
+  // until run_quantum's flush (after on_quantum_end), and
+  // push_output_batch keeps per-session FIFO for refusals.
+  staged_.push_back(std::move(r));
 }
 
 void OutputEntity::on_quantum_end() {
@@ -52,8 +37,11 @@ void OutputEntity::on_quantum_end() {
   }
   // One lock for the whole quantum's output. Refused records come back in
   // arrival order with the refusal accounting (credit park, waiter
-  // registration) already done; they defer on the (entity, session) key
-  // exactly as a scalar refusal would.
+  // registration) already done. The session's output credit account is
+  // exhausted: do NOT stall this shared entity (that would be a
+  // cross-session head-of-line block); defer only the refused records on
+  // the (entity, session) key — push_output_batch registered us for a
+  // poke when the client replenishes the account.
   refused_.clear();
   net_.push_output_batch(staged_, this, refused_);
   staged_.clear();
@@ -70,7 +58,7 @@ void OutputEntity::on_poke() {
   // so stopping at the first refusal per session is safe.
   flush_deferred([this](SessionState*, Record& r) {
     quantum_role_.assert_held();  // lambda analysed as a free function
-    return try_push(r, /*from_deferred=*/true);
+    return net_.retry_deferred_output(r, this) == Network::PushOutcome::kAccepted;
   });
 }
 
@@ -297,15 +285,6 @@ void FilterEntity::on_record(Record r) {
   // values) cannot be memoized and is evaluated per record; both the
   // mismatch and the guard-failure path go through apply() so the error
   // is identical to the unmemoized one.
-  // Scalar ablation mode: the pre-PR per-record path — type match plus
-  // per-label output construction on every record, no compiled plans.
-  if (!batching()) {
-    std::vector<Record> produced = node_->filter->apply(r);
-    for (auto& out : produced) {
-      send(succ_, std::move(out));
-    }
-    return;
-  }
   const Pattern& pat = node_->filter->pattern();
   const auto plans = plans_.get_or(
       r.shape(), [&]() -> std::shared_ptr<const FilterSpec::Compiled> {

@@ -13,7 +13,6 @@ Entity::Entity(Network& net, std::string name) : net_(net), name_(std::move(name
   // constructor): dispatch/output critical sections may push into an
   // inbox, never the other way around.
   inbox_.set_lock_order(50, "entity.inbox");
-  batching_ = net_.batching();
   // Bounded inboxes keep batches small so the occupancy ceiling the stall
   // protocol guarantees (inbox bound + one quantum of overshoot) still
   // holds with emissions and consume decrements deferred to the flush:
@@ -213,29 +212,13 @@ void Entity::run_quantum(unsigned max_messages) {
     } catch (...) {
       net_.fail(std::current_exception());
     }
-    if (batching_) {
-      // Consume decrements coalesce into the flush accumulators; they are
-      // applied in flush_all() *after* this batch's emissions are pushed,
-      // preserving the never-transiently-zero group invariant.
-      for (const auto& s : stamp_scratch_) {
-        det_delta_sub(s.scope, s.seq);
-      }
-      live_delta_sub(session);
-    } else {
-      // Scalar consume decrement: emissions were counted eagerly in
-      // send(), so the group count can never transiently drop to zero
-      // while descendants of this record are still in flight. Guarded: a
-      // det-scope invariant violation must fail the network, not escape
-      // into the worker thread.
-      try {
-        for (const auto& s : stamp_scratch_) {
-          s.scope->adjust(s.seq, -1);
-        }
-      } catch (...) {
-        net_.fail(std::current_exception());
-      }
-      net_.live_sub(session, 1);
+    // Consume decrements coalesce into the flush accumulators; they are
+    // applied in flush_all() *after* this batch's emissions are pushed,
+    // preserving the never-transiently-zero group invariant.
+    for (const auto& s : stamp_scratch_) {
+      det_delta_sub(s.scope, s.seq);
     }
+    live_delta_sub(session);
   }
   if (batch_pos_ >= batch_.size()) {
     batch_.clear();  // drop payloads before parking, not at the next quantum
@@ -315,27 +298,11 @@ void Entity::send(Entity* target, Record r) {
 }
 
 void Entity::emit_downstream(Entity* target, Record r) {
-  if (batching_) {
-    // Group/live increments accumulate with the staged message; flush_all
-    // applies them immediately before the record becomes visible
-    // downstream — eager relative to visibility, exactly like the scalar
-    // path, just batched.
-    note_emit_accounting(r);
-    buffer_message(target, Message::record(std::move(r)));
-    return;
-  }
-  // Eager group increments (see run_quantum) before the record becomes
-  // visible downstream.
-  for (const auto& s : r.det_stack()) {
-    s.scope->adjust(s.seq, +1);
-  }
-  net_.live_add(r.session_state(), 1);
-  const bool congested = target->deliver(Message::record(std::move(r)));
-  if (congested && target != this) {
-    request_stall([target](Entity* producer) {
-      return target->await_inbox_credit(producer);
-    });
-  }
+  // Group/live increments accumulate with the staged message; flush_all
+  // applies them immediately before the record becomes visible
+  // downstream, so they are eager relative to visibility.
+  note_emit_accounting(r);
+  buffer_message(target, Message::record(std::move(r)));
 }
 
 void Entity::run_inline(Entity& stage, Record r) {
@@ -370,16 +337,7 @@ void Entity::publish_counters() {
 
 void Entity::transfer(Entity* target, Record r) {
   ++quantum_out_;
-  if (batching_) {
-    buffer_message(target, Message::record(std::move(r)));
-    return;
-  }
-  const bool congested = target->deliver(Message::record(std::move(r)));
-  if (congested && target != this) {
-    request_stall([target](Entity* producer) {
-      return target->await_inbox_credit(producer);
-    });
-  }
+  buffer_message(target, Message::record(std::move(r)));
 }
 
 void Entity::buffer_message(Entity* target, Message m) {
@@ -479,8 +437,7 @@ void Entity::flush_all() {
     }
   }
   // 2. One bounded push per (target, flush); the buffers preserve emission
-  //    order per target. A congested bounded target requests a stall, as
-  //    the per-record deliver did.
+  //    order per target. A congested bounded target requests a stall.
   for (EmitBuffer& buf : emit_bufs_) {
     if (buf.msgs.empty()) {
       continue;

@@ -42,11 +42,7 @@ class OutputEntity final : public Entity {
   void on_quantum_end() override;
 
  private:
-  /// push_output retry shared by the direct path and the deferred flush
-  /// (the session resolves from the record's stamp).
-  bool try_push(Record& r, bool from_deferred) SNETSAC_REQUIRES(quantum_role_);
-
-  /// Batched mode: records staged across the quantum, handed to
+  /// Records staged across the quantum, handed to
   /// Network::push_output_batch in one buffer-lock acquisition at quantum
   /// end (on_quantum_end runs before run_quantum's flush retires the
   /// records' live counts, so staged records are never dead). Worker-only.

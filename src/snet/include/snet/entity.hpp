@@ -21,15 +21,14 @@
 ///    re-queued into the scheduler when the consumer drains the inbox
 ///    below the release watermark. A pool thread is never blocked; the
 ///    suspension is a state transition, not a wait,
-///  * batched emission: with `Options::batching` on, send()/transfer()
-///    stage messages in per-target buffers and the matching live/det
-///    increments and consume decrements in per-key delta accumulators;
-///    flush_all() applies the increments, pushes each buffer with one
-///    bounded push_all per (target, flush), and applies the decrements —
-///    one inbox lock and one bookkeeping adjustment per batch instead of
-///    one per record. Flushes happen at a bounded threshold and at every
-///    quantum exit, *before* a stall parks the entity, so order and
-///    accounting survive suspensions exactly as in the scalar path, and
+///  * batched emission: send()/transfer() stage messages in per-target
+///    buffers and the matching live/det increments and consume decrements
+///    in per-key delta accumulators; flush_all() applies the increments,
+///    pushes each buffer with one bounded push_all per (target, flush),
+///    and applies the decrements — one inbox lock and one bookkeeping
+///    adjustment per batch instead of one per record. Flushes happen at a
+///    bounded threshold and at every quantum exit, *before* a stall parks
+///    the entity, so order and accounting survive suspensions, and
 ///  * session-keyed record deferral: an entity serving many client
 ///    sessions (the output demux) can park records on an *(entity,
 ///    session)* credit key instead of stalling wholesale — records of the
@@ -202,11 +201,6 @@ class Entity {
     return static_cast<bool>(stall_gate_);
   }
 
-  /// True when the network runs with batched emission (Options::batching);
-  /// entities that stage per-quantum work (the output demux) key their
-  /// behaviour off this.
-  bool batching() const { return batching_; }
-
   // --- (entity, session) deferral --------------------------------------
   // Per-session parking for entities that must not stall wholesale when a
   // single session runs out of credit. Only the worker currently running
@@ -242,7 +236,7 @@ class Entity {
   void release_inbox_credit() SNETSAC_REQUIRES(quantum_role_);
   /// The body of send() for a real (inbox-backed) target, run on the
   /// entity that owns the quantum: emission accounting, then the buffered
-  /// or scalar delivery, requesting a stall when the target is congested.
+  /// delivery (flush_all requests a stall when the target is congested).
   void emit_downstream(Entity* target, Record r) SNETSAC_REQUIRES(quantum_role_);
   /// Delivers \p r to the inline stage \p stage: reports it to the trace
   /// under the stage's name, then runs the stage's on_record under its own
@@ -259,7 +253,7 @@ class Entity {
 
   /// Per-target staging buffer; flush order is first-use order, and
   /// within a target the buffer preserves emission order, so per-session
-  /// FIFO and det order are exactly those of the scalar path.
+  /// FIFO and det order are exactly the emission order.
   struct EmitBuffer {
     Entity* target;
     std::vector<Message> msgs;
@@ -267,9 +261,8 @@ class Entity {
   /// Coalesced det-group adjustments for one flush: `add` counts
   /// emissions (applied before the pushes), `sub` counts consumed records
   /// (applied after), so a group's count never transiently drops to zero
-  /// while descendants are in flight — the same invariant the eager
-  /// scalar ordering (+1 on emit before visibility, -1 after consume)
-  /// guarantees record by record.
+  /// while descendants are in flight (+1 on emit before visibility, -1
+  /// after consume, batch by batch).
   struct DetDelta {
     DetScope* scope;
     std::uint64_t seq;
@@ -318,9 +311,8 @@ class Entity {
   /// Batched-emission state (worker-only, like batch_). The delta vectors
   /// are linear-scanned: a quantum touches a handful of (scope, seq) and
   /// session keys, and the vectors are reused so steady state allocates
-  /// nothing. batching_/flush_threshold_ are fixed in the constructor and
-  /// read-only afterwards, so they stay outside the role.
-  bool batching_ = true;
+  /// nothing. flush_threshold_ is fixed in the constructor and read-only
+  /// afterwards, so it stays outside the role.
   std::size_t flush_threshold_ = 256;
   std::vector<EmitBuffer> emit_bufs_ SNETSAC_GUARDED_BY(quantum_role_);
   std::size_t emit_pending_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
@@ -328,9 +320,8 @@ class Entity {
   std::size_t last_buf_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
   std::vector<DetDelta> det_deltas_ SNETSAC_GUARDED_BY(quantum_role_);
   std::vector<LiveDelta> live_deltas_ SNETSAC_GUARDED_BY(quantum_role_);
-  /// Reused stamp snapshot of the record being consumed — replaces the
-  /// per-record heap copy the scalar loop used to make (skipped entirely
-  /// for unstamped records).
+  /// Reused stamp snapshot of the record being consumed — no per-record
+  /// heap copy (skipped entirely for unstamped records).
   std::vector<DetStamp> stamp_scratch_ SNETSAC_GUARDED_BY(quantum_role_);
 
   /// Set while a quantum is processing; honoured at the next message
@@ -351,7 +342,7 @@ class Entity {
   std::atomic<int> state_{kIdle};
 
   /// Linear-segment fusion, fixed at instantiation and read-only once the
-  /// entities are reachable (like batching_): the head whose quantum runs
+  /// entities are reachable (like flush_threshold_): the head whose quantum runs
   /// this inline stage (null for an inbox-backed entity), and a head's
   /// inline stages, whose counters it publishes with its own.
   Entity* head_ = nullptr;

@@ -142,12 +142,8 @@ struct Options {
   /// file is created lazily on first overflow and removed with the
   /// network.
   std::string spill_dir;
-  /// Batched-quantum emission (see entity.hpp): entities stage their
-  /// emissions per target and flush them — one bounded inbox push and one
-  /// coalesced live/det adjustment per (target, quantum) — at a bounded
-  /// threshold and at every quantum exit, including before a stall parks
-  /// the producer. Per-session FIFO and det order are preserved; false
-  /// restores the per-record scalar path (the bench ablation mode).
+  /// Has no effect: entities always batch their emissions (see
+  /// entity.hpp). Kept only because benchmark output still prints it.
   bool batching = true;
   /// Has no effect: construction always infers the signature and rejects
   /// a topology with a type error (see verify.hpp). Kept only because
@@ -324,20 +320,20 @@ class Network {
   /// Outcome of handing an output record to its session.
   enum class PushOutcome {
     kAccepted,  ///< delivered to the session (or dropped: abandoned/errored)
-    kNoCredit,  ///< session account full — defer \p r on the (entity,
-                ///< session) credit key; \p producer was registered and
-                ///< will be poked when the client replenishes credit
+    kNoCredit,  ///< session account full — \p r stays deferred on the
+                ///< (entity, session) credit key; \p producer was registered
+                ///< and will be poked when the client replenishes credit
   };
-  /// Delivers an output record to its session, charging its credit
-  /// account. The refusal and the waiter registration are atomic under
-  /// out_mu_, so a deferred record can never miss its wakeup.
-  /// \p from_deferred marks a retry of a previously deferred record (its
-  /// park charge converts into a buffer charge instead of double-billing).
-  PushOutcome push_output(Record& r, Entity* producer, bool from_deferred);
+  /// Retries a previously deferred output record: delivers it to its
+  /// session, its park charge converting into a buffer charge. A renewed
+  /// refusal keeps the record parked; the refusal and the waiter
+  /// registration are atomic under out_mu_, so a deferred record can never
+  /// miss its wakeup.
+  PushOutcome retry_deferred_output(Record& r, Entity* producer);
   /// Accounts a record deferred behind an *already deferred* record of the
   /// same session (the ordering path: later records may not overtake).
   void note_deferred_output(SessionState* s);
-  /// Batched push_output: delivers a whole quantum's staged output under
+  /// Delivers a whole quantum's staged output to the sessions under
   /// one buffer-lock acquisition with one client wakeup. Records whose
   /// session is out of credit come back in \p refused (arrival order, with
   /// the park accounting and waiter registration already done — the caller
@@ -374,7 +370,6 @@ class Network {
 
   void note_suspension() { suspensions_.fetch_add(1, std::memory_order_relaxed); }
   std::size_t inbox_capacity() const { return opts_.inbox_capacity; }
-  bool batching() const { return opts_.batching; }
   /// DRR grant per weight unit per turn at the input dispatcher.
   unsigned drr_grant() const { return opts_.quantum; }
   void fail(std::exception_ptr err);
@@ -397,8 +392,8 @@ class Network {
   // ------- port-internal interface (used by InputPort/OutputPort) ------
   void port_inject(SessionState& s, Record r);
   bool port_try_inject(SessionState& s, Record& r);
-  /// Batched inject: when nothing needs arbitration (batching on, no
-  /// session listed for DRR, unbounded entry, no output credit gate) the
+  /// Batched inject: when nothing needs arbitration (no session listed
+  /// for DRR, unbounded entry, no output credit gate) the
   /// whole vector is stamped, counted and delivered to the entry under
   /// one inbox lock; otherwise falls back to per-record port_inject.
   void port_inject_all(SessionState& s, std::vector<Record> records);

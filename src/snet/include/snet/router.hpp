@@ -20,8 +20,7 @@
 /// correct, never unbounded memory.
 ///
 /// Not thread-safe: a router belongs to one entity, and entities are run
-/// by at most one worker at a time. Shared with bench_routing so the
-/// microbenchmark measures exactly the production decision path.
+/// by at most one worker at a time.
 
 #include <cstdint>
 #include <utility>

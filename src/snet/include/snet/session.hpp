@@ -133,8 +133,7 @@ class OutputPort {
   /// it plus everything else the session's buffer already holds to \p out
   /// — one lock and one whole-span credit release per call instead of one
   /// per record. Returns the number appended; 0 once the session is
-  /// closed and drained. The streaming analogue of collect()'s drain loop
-  /// (with batching off the span degrades to a single record).
+  /// closed and drained. The streaming analogue of collect()'s drain loop.
   std::size_t next_span(std::vector<Record>& out);
 
   /// Push mode: \p callback is invoked for every output record of this

@@ -344,13 +344,13 @@ void Network::port_inject_all(SessionState& s, std::vector<Record> records) {
   if (records.empty()) {
     return;
   }
-  // Bulk fast path: when there is nothing to arbitrate or gate — batching
-  // on, no session listed for DRR, this session unthrottled with an empty
+  // Bulk fast path: when there is nothing to arbitrate or gate — no
+  // session listed for DRR, this session unthrottled with an empty
   // staging queue, unbounded entry inbox (nothing to refuse) and no
   // output credit account (nothing to await per record) — the whole
   // vector is stamped, counted and delivered under one inbox lock. Any
   // gate present falls back to the per-record path, which enforces it.
-  if (opts_.batching && opts_.inbox_capacity == 0 && s.out_cap_ == 0 &&
+  if (opts_.inbox_capacity == 0 && s.out_cap_ == 0 &&
       !s.closed_.load(std::memory_order_acquire) && !s.errored() &&
       listed_count_.load(std::memory_order_acquire) == 0 && !s.throttled() &&
       s.staging_.empty()) {
@@ -458,11 +458,6 @@ Record Network::pop_output_locked(SessionState& s, std::vector<Entity*>& resumed
 }
 
 std::size_t Network::port_drain(SessionState& s, std::vector<Record>& out) {
-  if (!opts_.batching) {
-    // Scalar ablation mode: collect() degrades to the pre-batch client
-    // path, one port_next (lock + credit release) per record.
-    return 0;
-  }
   std::vector<Entity*> resumed;
   std::size_t n = 0;
   bool gated = false;
@@ -591,7 +586,7 @@ void Network::port_on_output(SessionState& s, std::function<void(Record)> callba
       const MutexLock lock(out_mu_);
       s.assert_output_locked();
       if (s.sink_) {
-        // Install-once: push_output calls through the stored sink
+        // Install-once: the output paths call through the stored sink
         // without copying it, which is only safe if it never changes.
         throw std::logic_error("on_output already installed for this session");
       }
@@ -734,8 +729,7 @@ void Network::live_sub(SessionState* session, std::int64_t n) {
   }
 }
 
-Network::PushOutcome Network::push_output(Record& r, Entity* producer,
-                                          bool from_deferred) {
+Network::PushOutcome Network::retry_deferred_output(Record& r, Entity* producer) {
   SessionState* const stamped = r.session_state();
   SessionState* s = stamped;
   if (s == nullptr) {
@@ -745,37 +739,32 @@ Network::PushOutcome Network::push_output(Record& r, Entity* producer,
   {
     const MutexLock lock(out_mu_);
     s->assert_output_locked();
-    const auto retire_deferred = [&] {
-      if (from_deferred) {
-        const std::int64_t parked =
-            s->parked_.fetch_sub(1, std::memory_order_relaxed) - 1;
-        s->out_account_.fetch_sub(1, std::memory_order_relaxed);
-        SNETSAC_INVARIANT(parked >= 0, "session " << s->id()
-                                                  << " parked counter went "
-                                                     "negative: "
-                                                  << parked);
-      }
+    // The retried record leaves the park: its park charge is dropped, or
+    // becomes the buffer charge when the record is buffered.
+    const auto unpark = [&] {
+      const std::int64_t parked =
+          s->parked_.fetch_sub(1, std::memory_order_relaxed) - 1;
+      SNETSAC_INVARIANT(parked >= 0, "session " << s->id()
+                                                << " parked counter went "
+                                                   "negative: "
+                                                << parked);
     };
     if (s->abandoned() || s->errored()) {
       // Released or failed fast mid-flight: nobody can ever consume this
       // session's output, so drop it rather than hold its credit.
-      retire_deferred();
+      unpark();
+      s->out_account_.fetch_sub(1, std::memory_order_relaxed);
       return PushOutcome::kAccepted;
     }
     has_sink = static_cast<bool>(s->sink_);
     if (!has_sink) {
       if (stamped != nullptr && s->out_cap_ != 0 &&
           s->buffer_.size() >= s->out_cap_) {
-        // Account exhausted. Refusal and waiter registration are one
-        // critical section: the client cannot pop-and-release between
-        // them, so the producer's poke can never be lost. Unstamped
-        // records (never crossed a port — no injector to gate) are
-        // exempt and buffer unconditionally.
-        if (!from_deferred) {
-          s->parked_.fetch_add(1, std::memory_order_relaxed);
-          s->out_account_.fetch_add(1, std::memory_order_relaxed);
-          s->output_parks_.fetch_add(1, std::memory_order_relaxed);
-        }
+        // Still no credit: the record stays parked (already charged).
+        // Refusal and waiter registration are one critical section: the
+        // client cannot pop-and-release between them, so the producer's
+        // poke can never be lost. Unstamped records (never crossed a port
+        // — no injector to gate) are exempt and buffer unconditionally.
         if (std::find(s->out_waiters_.begin(), s->out_waiters_.end(), producer) ==
             s->out_waiters_.end()) {
           s->out_waiters_.push_back(producer);
@@ -785,21 +774,12 @@ Network::PushOutcome Network::push_output(Record& r, Entity* producer,
       ++produced_;
       ++s->produced_;
       s->buffer_.push_back(std::move(r));
-      if (from_deferred) {
-        const std::int64_t parked =
-            s->parked_.fetch_sub(1, std::memory_order_relaxed) - 1;
-        // account unchanged: the park charge becomes the buffer charge
-        SNETSAC_INVARIANT(parked >= 0, "session " << s->id()
-                                                  << " parked counter went "
-                                                     "negative: "
-                                                  << parked);
-      } else {
-        s->out_account_.fetch_add(1, std::memory_order_relaxed);
-      }
+      unpark();  // account unchanged: the park charge becomes the buffer charge
     } else {
       ++produced_;
       ++s->produced_;
-      retire_deferred();
+      unpark();
+      s->out_account_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
   if (has_sink) {
@@ -830,7 +810,7 @@ void Network::push_output_batch(std::vector<Record>& records, Entity* producer,
   }
   // Sink deliveries happen outside the lock (in batch order): the sink is
   // install-once and only the single worker running the output entity
-  // reaches here, same argument as the scalar path.
+  // reaches here, same argument as in retry_deferred_output.
   std::vector<std::pair<SessionState*, Record>> sink_calls;
   // Sessions refused earlier in this batch: later records of the same
   // session must refuse too, or they would overtake the deferred ones.
@@ -856,8 +836,8 @@ void Network::push_output_batch(std::vector<Record>& records, Entity* producer,
           refused_sessions.end();
       if (cascade || (stamped != nullptr && s->out_cap_ != 0 &&
                       s->buffer_.size() >= s->out_cap_)) {
-        // Same accounting as the scalar refusal (park charge + waiter
-        // registration, atomic with the refusal under out_mu_); the caller
+        // Park charge + waiter registration, atomic with the refusal under
+        // out_mu_ (the client cannot pop-and-release in between); the caller
         // turns the returned records into (entity, session) deferrals.
         s->parked_.fetch_add(1, std::memory_order_relaxed);
         s->out_account_.fetch_add(1, std::memory_order_relaxed);
@@ -1323,13 +1303,8 @@ Entity* Network::instantiate(const Net& node, Entity* successor,
       // dispatcher (see parallel_branches), so `A | B | C` costs one
       // routing decision and one hop instead of a chain of binary ones.
       // Det parallels keep their own entry/collector bracket and are
-      // instantiated as opaque branches. Scalar ablation mode keeps the
-      // binary dispatcher cascade the pre-batch runtime built.
-      const std::vector<ParallelBranch> leaves =
-          opts_.batching
-              ? parallel_branches(node, prefix)
-              : std::vector<ParallelBranch>{{node->left, prefix + "/parL"},
-                                            {node->right, prefix + "/parR"}};
+      // instantiated as opaque branches.
+      const std::vector<ParallelBranch> leaves = parallel_branches(node, prefix);
       std::vector<ParallelEntity::Branch> branches;
       branches.reserve(leaves.size());
       for (const ParallelBranch& b : leaves) {

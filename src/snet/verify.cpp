@@ -190,9 +190,7 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
     case NetNode::Kind::Serial:
       return flow(n->right, flow(n->left, incoming, path, ctx), path, ctx);
     case NetNode::Kind::Parallel: {
-      // The flattened branch list `Network::instantiate` builds. The
-      // scalar-ablation runtime keeps the binary cascade instead, but the
-      // winner sets are identical, so verdicts here cover both modes.
+      // The flattened branch list `Network::instantiate` builds.
       const std::vector<ParallelBranch> branches = parallel_branches(n, path);
       const std::string dpath = path + "/par";
       auto [it, fresh] = ctx.parallels.try_emplace(dpath);

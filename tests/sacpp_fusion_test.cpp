@@ -1,7 +1,7 @@
 /// Fused with-loop chains: map/zip_with/fold over a lazy producer execute
 /// as one segment pass with zero intermediate arrays, and must agree
-/// bit-for-bit with the unfused interpreted pipeline (`Context::compiled =
-/// false`), with COW value semantics intact when a chain's source aliases
+/// bit-for-bit with the unfused interpreted pipeline (the reference engine
+/// of with_loop_reference.hpp), with COW value semantics intact when a chain's source aliases
 /// its destination. Labelled `concurrency`: the parallel sweeps here are
 /// what the sanitizer matrix runs.
 
@@ -13,6 +13,7 @@
 #include "sacpp/io.hpp"
 #include "sacpp/ops.hpp"
 #include "sacpp/with_loop.hpp"
+#include "with_loop_reference.hpp"
 
 using sac::Array;
 using sac::Context;
@@ -20,10 +21,10 @@ using sac::Index;
 using sac::Shape;
 using sac::ShapeError;
 using sac::With;
+using Ref = sac::testing::ReferenceEngine;
 
 namespace {
-const Context kCompiled1{1, 1024, true};
-const Context kReference1{1, 1024, false};
+const Context kCompiled1{1, 1024};
 
 Array<int> sample_array(std::int64_t rows, std::int64_t cols) {
   std::vector<int> data;
@@ -58,8 +59,7 @@ TEST(Fusion, LazyGenarrayMapFoldIsOnePassAndCorrect) {
   EXPECT_EQ(chain.map([](int v) { return static_cast<std::int64_t>(v); })
                 .fold(plus, 0, kCompiled1),
             expect);
-  EXPECT_EQ(chain.map([](int v) { return static_cast<std::int64_t>(v); })
-                .fold(plus, 0, kReference1),
+  EXPECT_EQ(Ref::fold(chain.map([](int v) { return static_cast<std::int64_t>(v); }), plus, 0),
             expect);
 }
 
@@ -131,7 +131,7 @@ TEST(Fusion, AddNumberStyleMultiGeneratorChain) {
                          .map([](bool b) { return b ? 1 : 0; });
   const auto plus = [](int a, int b) { return a + b; };
   const int compiled = chain.fold(plus, 0, kCompiled1);
-  const int reference = chain.fold(plus, 0, kReference1);
+  const int reference = Ref::fold(chain, plus, 0);
   EXPECT_EQ(compiled, reference);
   // 9 (cell) + 8 (row rest) + 8 (col rest) + 8 (box rest) - overlaps, all
   // false; the remaining true count:
@@ -147,7 +147,7 @@ TEST(Fusion, AddNumberStyleMultiGeneratorChain) {
 
 TEST(Fusion, RandomChainsCompiledMatchesInterpreted) {
   std::mt19937 rng(20260807);
-  const Context par4{4, 1, true};
+  const Context par4{4, 1};
   for (int trial = 0; trial < 100; ++trial) {
     std::uniform_int_distribution<std::int64_t> ext_d(1, 12);
     const std::int64_t rows = ext_d(rng);
@@ -165,11 +165,11 @@ TEST(Fusion, RandomChainsCompiledMatchesInterpreted) {
                            .lazy_genarray(Shape{rows, cols}, -3)
                            .map([](int v) { return v * 3 + 1; })
                            .zip_with(other, [](int v, int o) { return v - o; });
-    const auto ref = chain.to_array(kReference1);
+    const auto ref = Ref::to_array(chain);
     ASSERT_EQ(chain.to_array(kCompiled1), ref) << "trial " << trial;
     ASSERT_EQ(chain.to_array(par4), ref) << "parallel trial " << trial;
     const auto plus = [](int a, int b) { return a + b; };
-    const int fref = chain.fold(plus, 0, kReference1);
+    const int fref = Ref::fold(chain, plus, 0);
     ASSERT_EQ(chain.fold(plus, 0, kCompiled1), fref) << "fold trial " << trial;
     ASSERT_EQ(chain.fold(plus, 0, par4), fref) << "parallel fold trial " << trial;
   }
@@ -182,7 +182,7 @@ TEST(Fusion, StridedGeneratorChain) {
                          .width({1, 2})
                          .lazy_genarray(Shape{10, 10}, 1)
                          .map([](int v) { return v * 10; });
-  EXPECT_EQ(chain.to_array(kCompiled1), chain.to_array(kReference1));
+  EXPECT_EQ(chain.to_array(kCompiled1), Ref::to_array(chain));
 }
 
 // ---- COW / value-semantics invariants -----------------------------------
@@ -226,7 +226,7 @@ TEST(Fusion, ZipOperandSnapshotIsStable) {
 class FusionParallel : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FusionParallel, ChainResultIndependentOfThreads) {
-  const Context ctx{GetParam(), 1, true};  // grain 1 forces splitting
+  const Context ctx{GetParam(), 1};  // grain 1 forces splitting
   const std::int64_t R = 48;
   const std::int64_t C = 31;
   const auto other = sample_array(R, C);
@@ -246,7 +246,7 @@ TEST_P(FusionParallel, ChainResultIndependentOfThreads) {
 }
 
 TEST_P(FusionParallel, BoolChainUnderParallelism) {
-  const Context ctx{GetParam(), 1, true};
+  const Context ctx{GetParam(), 1};
   const Array<bool> opts(Shape{9, 9, 9}, true);
   const auto chain = With<bool>()
                          .gen_incl_val({4, 4, 0}, {4, 4, 8}, false)

@@ -8,6 +8,7 @@
 
 #include "sacpp/io.hpp"
 #include "sacpp/with_loop.hpp"
+#include "with_loop_reference.hpp"
 
 using sac::Array;
 using sac::Context;
@@ -15,6 +16,7 @@ using sac::Index;
 using sac::Shape;
 using sac::ShapeError;
 using sac::With;
+using Ref = sac::testing::ReferenceEngine;
 
 // ---- The paper's Section 2 examples, verbatim -------------------------
 
@@ -242,17 +244,16 @@ INSTANTIATE_TEST_SUITE_P(ThreadSweep, WithLoopParallel,
 // ---- Typed kernel API (compiled engine) ---------------------------------
 
 namespace {
-const Context kCompiled1{1, 1024, true};
-const Context kReference1{1, 1024, false};
+const Context kCompiled1{1, 1024};
 }  // namespace
 
 TEST(WithLoopKernel, CoordinateBodyRank1) {
   const auto a = With<int>()
                      .gen_kernel({2}, {9}, [](std::int64_t j) { return static_cast<int>(j * j); })
                      .genarray(Shape{10}, -1, kCompiled1);
-  const auto r = With<int>()
-                     .gen_kernel({2}, {9}, [](std::int64_t j) { return static_cast<int>(j * j); })
-                     .genarray(Shape{10}, -1, kReference1);
+  const auto r = Ref::genarray(
+      With<int>().gen_kernel({2}, {9}, [](std::int64_t j) { return static_cast<int>(j * j); }),
+      Shape{10}, -1);
   EXPECT_EQ((a[{0}]), -1);
   EXPECT_EQ((a[{2}]), 4);
   EXPECT_EQ((a[{8}]), 64);
@@ -264,7 +265,7 @@ TEST(WithLoopKernel, CoordinateBodyRank2) {
     return static_cast<int>(10 * i + j);
   });
   const auto a = w.genarray(Shape{7, 5}, -1, kCompiled1);
-  EXPECT_EQ(a, w.genarray(Shape{7, 5}, -1, kReference1));
+  EXPECT_EQ(a, Ref::genarray(w, Shape{7, 5}, -1));
   EXPECT_EQ((a[{6, 4}]), 64);
 }
 
@@ -275,7 +276,7 @@ TEST(WithLoopKernel, CoordinateBodyRank3) {
         return static_cast<int>(100 * i + 10 * j + k);
       });
   const auto a = w.genarray(Shape{3, 4, 5}, -1, kCompiled1);
-  EXPECT_EQ(a, w.genarray(Shape{3, 4, 5}, -1, kReference1));
+  EXPECT_EQ(a, Ref::genarray(w, Shape{3, 4, 5}, -1));
   EXPECT_EQ((a[{2, 3, 4}]), 234);
 }
 
@@ -291,7 +292,7 @@ TEST(WithLoopKernel, RawSegmentKernel) {
         }
       });
   const auto a = w.genarray(Shape{6, 8}, -1, kCompiled1);
-  EXPECT_EQ(a, w.genarray(Shape{6, 8}, -1, kReference1));
+  EXPECT_EQ(a, Ref::genarray(w, Shape{6, 8}, -1));
   EXPECT_EQ((a[{5, 7}]), 507);
 }
 
@@ -300,12 +301,11 @@ TEST(WithLoopKernel, CoordinateArityMustMatchRank) {
                    .gen_kernel({0, 0}, {3, 3}, [](std::int64_t j) { return static_cast<int>(j); })
                    .genarray(Shape{3, 3}, 0, kCompiled1),
                ShapeError);
-  EXPECT_THROW(With<int>()
-                   .gen_kernel({0}, {3},
-                               [](std::int64_t i, std::int64_t j) {
-                                 return static_cast<int>(i + j);
-                               })
-                   .genarray(Shape{3}, 0, kReference1),
+  EXPECT_THROW(Ref::genarray(With<int>().gen_kernel({0}, {3},
+                                                   [](std::int64_t i, std::int64_t j) {
+                                                     return static_cast<int>(i + j);
+                                                   }),
+                             Shape{3}, 0),
                ShapeError);
 }
 
@@ -313,7 +313,7 @@ TEST(WithLoopKernel, KernelInFold) {
   const auto w = With<std::int64_t>().gen_kernel(
       {0, 0}, {100, 50}, [](std::int64_t i, std::int64_t j) { return i + j; });
   const auto plus = [](std::int64_t a, std::int64_t b) { return a + b; };
-  EXPECT_EQ(w.fold(plus, 0, kCompiled1), w.fold(plus, 0, kReference1));
+  EXPECT_EQ(w.fold(plus, 0, kCompiled1), Ref::fold(w, plus, 0));
 }
 
 TEST(WithLoopKernel, KernelWithStriding) {
@@ -324,17 +324,16 @@ TEST(WithLoopKernel, KernelWithStriding) {
                                  })
                      .step({2, 3})
                      .width({1, 2});
-  EXPECT_EQ(w.genarray(Shape{9, 9}, -1, kCompiled1),
-            w.genarray(Shape{9, 9}, -1, kReference1));
+  EXPECT_EQ(w.genarray(Shape{9, 9}, -1, kCompiled1), Ref::genarray(w, Shape{9, 9}, -1));
 }
 
 // ---- Randomized compiled-vs-reference equivalence -----------------------
 //
-// The two engines share nothing but the generator list: the reference path
-// walks elements recursively through std::function bodies; the compiled
-// path decomposes into row segments with setup-time overlap resolution.
-// Bit-identical results over random shapes/generators/striding are the
-// strongest cheap evidence the decomposition is right.
+// The two engines share nothing but the generator list: the reference engine
+// (with_loop_reference.hpp) walks elements recursively through std::function
+// bodies; the compiled engine decomposes into row segments with setup-time
+// overlap resolution. Bit-identical results over random shapes/generators/
+// striding are the strongest cheap evidence the decomposition is right.
 
 namespace {
 
@@ -399,10 +398,10 @@ RandomCase random_case(std::mt19937& rng) {
 
 TEST(WithLoopEquivalence, RandomGenarrayCompiledMatchesReference) {
   std::mt19937 rng(20260808);
-  const Context par4{4, 1, true};
+  const Context par4{4, 1};
   for (int trial = 0; trial < 300; ++trial) {
     const RandomCase c = random_case(rng);
-    const auto ref = c.with.genarray(c.shape, -7, kReference1);
+    const auto ref = Ref::genarray(c.with, c.shape, -7);
     const auto com = c.with.genarray(c.shape, -7, kCompiled1);
     ASSERT_EQ(com, ref) << "trial " << trial << " shape " << c.shape.to_string();
     ASSERT_EQ(c.with.genarray(c.shape, -7, par4), ref)
@@ -412,7 +411,7 @@ TEST(WithLoopEquivalence, RandomGenarrayCompiledMatchesReference) {
 
 TEST(WithLoopEquivalence, RandomModarrayCompiledMatchesReference) {
   std::mt19937 rng(977);
-  const Context par4{4, 1, true};
+  const Context par4{4, 1};
   for (int trial = 0; trial < 200; ++trial) {
     const RandomCase c = random_case(rng);
     Array<int> src(c.shape, 0);
@@ -420,7 +419,7 @@ TEST(WithLoopEquivalence, RandomModarrayCompiledMatchesReference) {
     for (std::size_t i = 0; i < buf.size(); ++i) {
       buf[i] = static_cast<int>(rng() % 100);
     }
-    const auto ref = c.with.modarray(src, kReference1);
+    const auto ref = Ref::modarray(c.with, src);
     ASSERT_EQ(c.with.modarray(src, kCompiled1), ref) << "trial " << trial;
     ASSERT_EQ(c.with.modarray(src, par4), ref) << "parallel trial " << trial;
   }
@@ -431,11 +430,11 @@ TEST(WithLoopEquivalence, RandomFoldCompiledMatchesReference) {
   // + over int is associative with identity 0 (parallel partials each start
   // from the neutral, so it must be the combine identity, as in SaC).
   std::mt19937 rng(4242);
-  const Context par4{4, 1, true};
+  const Context par4{4, 1};
   const auto plus = [](int a, int b) { return a + b; };
   for (int trial = 0; trial < 200; ++trial) {
     const RandomCase c = random_case(rng);
-    const int ref = c.with.fold(plus, 0, kReference1);
+    const int ref = Ref::fold(c.with, plus, 0);
     ASSERT_EQ(c.with.fold(plus, 0, kCompiled1), ref) << "trial " << trial;
     ASSERT_EQ(c.with.fold(plus, 0, par4), ref) << "parallel trial " << trial;
   }
@@ -453,7 +452,7 @@ TEST(WithLoopEquivalence, RandomBoolGenarrayCompiledMatchesReference) {
     const auto w = With<bool>()
                        .gen({0}, {cut}, [](const Index& iv) { return iv[0] % 2 == 0; })
                        .gen_val({cut / 2}, {cut}, true);
-    const auto ref = w.genarray(Shape{n}, false, kReference1);
+    const auto ref = Ref::genarray(w, Shape{n}, false);
     ASSERT_EQ(w.genarray(Shape{n}, false, kCompiled1), ref) << "trial " << trial;
   }
 }

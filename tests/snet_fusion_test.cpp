@@ -108,46 +108,42 @@ TEST(Fusion, SegmentsHoldAtMostOneBox) {
 
 TEST(Fusion, StagesKeepTheirNamesAndExactCounters) {
   constexpr int kRecords = 500;
-  for (const bool batching : {true, false}) {
-    Options o;
-    o.batching = batching;
-    Network net(five_stage(), std::move(o));
-    std::vector<Record> in;
-    for (int i = 0; i < kRecords; ++i) {
-      in.push_back(int_rec(i));
-    }
-    const auto out = run(net, std::move(in));
-    ASSERT_EQ(out.size(), 2U * kRecords);
-    const NetworkStats st = net.stats();
-    // Adoption runs right to left: f3, dbl, f2, inc, f1.
-    const auto filters = rows_named(st, "net/filter");
-    ASSERT_EQ(filters.size(), 3U);
-    const auto inc = rows_named(st, "net/box:inc");
-    const auto dbl = rows_named(st, "net/box:dbl");
-    ASSERT_EQ(inc.size(), 1U);
-    ASSERT_EQ(dbl.size(), 1U);
-    const EntityStats& f3 = filters[0];
-    const EntityStats& f2 = filters[1];
-    const EntityStats& f1 = filters[2];
-    EXPECT_EQ(f1.records_in, kRecords);
-    EXPECT_EQ(f1.records_out, kRecords);
-    EXPECT_EQ(inc[0].records_in, kRecords);
-    EXPECT_EQ(inc[0].records_out, kRecords);
-    EXPECT_EQ(f2.records_in, kRecords);
-    EXPECT_EQ(f2.records_out, 2U * kRecords);
-    EXPECT_EQ(dbl[0].records_in, 2U * kRecords);
-    EXPECT_EQ(dbl[0].records_out, 2U * kRecords);
-    EXPECT_EQ(f3.records_in, 2U * kRecords);
-    EXPECT_EQ(f3.records_out, 2U * kRecords);
-    EXPECT_EQ(st.records_in_containing("net/filter"), 4U * kRecords);
-    EXPECT_EQ(st.records_in_containing("net/box:"), 3U * kRecords);
-    // [f1 inc f2][dbl f3]: the heads keep their inbox.
-    EXPECT_FALSE(f1.fused);
-    EXPECT_TRUE(inc[0].fused);
-    EXPECT_TRUE(f2.fused);
-    EXPECT_FALSE(dbl[0].fused);
-    EXPECT_TRUE(f3.fused);
+  Network net(five_stage());
+  std::vector<Record> in;
+  for (int i = 0; i < kRecords; ++i) {
+    in.push_back(int_rec(i));
   }
+  const auto out = run(net, std::move(in));
+  ASSERT_EQ(out.size(), 2U * kRecords);
+  const NetworkStats st = net.stats();
+  // Adoption runs right to left: f3, dbl, f2, inc, f1.
+  const auto filters = rows_named(st, "net/filter");
+  ASSERT_EQ(filters.size(), 3U);
+  const auto inc = rows_named(st, "net/box:inc");
+  const auto dbl = rows_named(st, "net/box:dbl");
+  ASSERT_EQ(inc.size(), 1U);
+  ASSERT_EQ(dbl.size(), 1U);
+  const EntityStats& f3 = filters[0];
+  const EntityStats& f2 = filters[1];
+  const EntityStats& f1 = filters[2];
+  EXPECT_EQ(f1.records_in, kRecords);
+  EXPECT_EQ(f1.records_out, kRecords);
+  EXPECT_EQ(inc[0].records_in, kRecords);
+  EXPECT_EQ(inc[0].records_out, kRecords);
+  EXPECT_EQ(f2.records_in, kRecords);
+  EXPECT_EQ(f2.records_out, 2U * kRecords);
+  EXPECT_EQ(dbl[0].records_in, 2U * kRecords);
+  EXPECT_EQ(dbl[0].records_out, 2U * kRecords);
+  EXPECT_EQ(f3.records_in, 2U * kRecords);
+  EXPECT_EQ(f3.records_out, 2U * kRecords);
+  EXPECT_EQ(st.records_in_containing("net/filter"), 4U * kRecords);
+  EXPECT_EQ(st.records_in_containing("net/box:"), 3U * kRecords);
+  // [f1 inc f2][dbl f3]: the heads keep their inbox.
+  EXPECT_FALSE(f1.fused);
+  EXPECT_TRUE(inc[0].fused);
+  EXPECT_TRUE(f2.fused);
+  EXPECT_FALSE(dbl[0].fused);
+  EXPECT_TRUE(f3.fused);
 }
 
 TEST(Fusion, PerEntityTraceSequencesAreUnchanged) {
@@ -166,30 +162,27 @@ TEST(Fusion, PerEntityTraceSequencesAreUnchanged) {
     expected["output {x,<s1>,<s2>,<s3>}"].push_back(i + 101);
     expected["output {x,<s1>,<s2>,<s3>}"].push_back(i + 101);
   }
-  for (const bool batching : {true, false}) {
-    std::mutex mu;
-    std::map<std::string, std::vector<int>> seen;
-    Options o;
-    o.batching = batching;
-    o.trace = [&](const std::string& entity, const Record& r) {
-      std::string key = entity + " {x";
-      for (const char* tag : {"s1", "s2", "s3"}) {
-        if (r.has_tag(tag_label(tag))) {
-          key += std::string(",<") + tag + ">";
-        }
+  std::mutex mu;
+  std::map<std::string, std::vector<int>> seen;
+  Options o;
+  o.trace = [&](const std::string& entity, const Record& r) {
+    std::string key = entity + " {x";
+    for (const char* tag : {"s1", "s2", "s3"}) {
+      if (r.has_tag(tag_label(tag))) {
+        key += std::string(",<") + tag + ">";
       }
-      key += "}";
-      const std::lock_guard<std::mutex> lock(mu);
-      seen[key].push_back(x_of(r));
-    };
-    Network net(five_stage(), std::move(o));
-    std::vector<Record> in;
-    for (int i = 0; i < kRecords; ++i) {
-      in.push_back(int_rec(i));
     }
-    run(net, std::move(in));
-    EXPECT_EQ(seen, expected) << "batching=" << batching;
+    key += "}";
+    const std::lock_guard<std::mutex> lock(mu);
+    seen[key].push_back(x_of(r));
+  };
+  Network net(five_stage(), std::move(o));
+  std::vector<Record> in;
+  for (int i = 0; i < kRecords; ++i) {
+    in.push_back(int_rec(i));
   }
+  run(net, std::move(in));
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(Fusion, ThrowingInlineStageFailsTheNetworkWithTheSameError) {

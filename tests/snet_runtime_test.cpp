@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -33,9 +34,9 @@ Net adder(const std::string& name, int delta) {
              });
 }
 
-void benchmark_guard(int v) {
+void benchmark_guard(std::uint64_t v) {
   // Defeats optimisation of busy-wait loops without volatile writes.
-  static std::atomic<int> sink{0};
+  static std::atomic<std::uint64_t> sink{0};
   sink.store(v, std::memory_order_relaxed);
 }
 
@@ -258,7 +259,8 @@ TEST(Runtime, DetParallelPreservesInputOrder) {
                   [](const BoxInput& in, BoxOutput& out) {
                     const int x = in.get<int>("x");
                     // Busy work to skew timing.
-                    int sink = 0;
+                    // 64-bit: the sum of 0..199999 overflows an int.
+                    std::uint64_t sink = 0;
                     for (int i = 0; i < 200000; ++i) {
                       sink += i;
                     }

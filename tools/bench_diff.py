@@ -11,9 +11,9 @@ Hardware-comparability rule: committed baselines come from whatever
 machine produced them, CI runs on different hardware, so *absolute*
 throughput numbers (records_per_sec) are not comparable across the two
 and are only checked with --absolute (for local A/B runs on one
-machine). *Ratio* metrics — a speedup over a legacy path measured in the
-same process, a bounded/unbounded comparison — are hardware-independent
-and are enforced by default.
+machine). *Ratio* metrics — a bounded/unbounded or contended/solo
+comparison measured in the same process — are hardware-independent and
+are enforced by default.
 
 Usage:
   tools/bench_diff.py --baseline bench/baselines --current build
@@ -32,22 +32,16 @@ import sys
 # swings too much for a 20% gate — bench_backpressure enforces its own
 # hard >=10x bar in-process instead.
 RATIO_METRICS = {
-    "speedup_vs_legacy",
+    # bench_backpressure: bounded vs. unbounded inbox throughput.
     "throughput_bounded_vs_unbounded",
     # bench_fairness: fast sessions' aggregate throughput with one stalled
     # slow peer vs. without it (per-session output credit isolation).
     "fairness_fast_vs_solo",
-    # bench_routing: end-to-end records/sec with the batched-quantum
-    # pipeline on vs. the scalar ablation, same binary and topology.
-    "e2e_batch_speedup",
-    # bench_withloop: compiled segment engine vs. the interpreted
-    # per-element reference on identical With objects (Context::compiled).
-    "withloop_compiled_speedup",
 }
 # Metrics enforced only with --absolute: machine-dependent throughput.
-ABSOLUTE_METRICS = {"records_per_sec", "elements_per_sec"}
+ABSOLUTE_METRICS = {"records_per_sec"}
 # Keys that identify a row (everything string-valued plus these ints).
-IDENTITY_KEYS = ("bench", "mode", "branches", "threads", "bound")
+IDENTITY_KEYS = ("bench", "mode", "bound")
 
 DEFAULT_TOLERANCE = 0.20
 
@@ -96,8 +90,8 @@ def validate_rows(path, data):
                 raise SchemaError(
                     f"{path}: row {i} metric '{metric}' must be a number, "
                     f"got {value!r}")
-    # Per-file, not per-row: ablation/reference rows legitimately carry
-    # only identity keys plus throughput the ratio rows divide by.
+    # Per-file, not per-row: summary rows legitimately carry only identity
+    # keys plus the ratio, and the per-mode rows only throughput.
     if data and not any_metric:
         raise SchemaError(
             f"{path}: no row carries any known metric key "
