@@ -5,7 +5,7 @@
 /// Clang thread-safety annotations plus the annotated synchronisation
 /// primitives the runtime and S-Net layers build on.
 ///
-/// The concurrency substrate (credit/backpressure, per-session deferral,
+/// The concurrency substrate (credit/backpressure, per-session output accounts,
 /// DRR dispatch, the executor's parking lot) keeps its lock discipline in
 /// prose today; this header makes it *compiler-checked*:
 ///
@@ -252,7 +252,7 @@ class CondVar {
 /// state machine does (an Entity's quantum: the idle/queued/running CAS
 /// handshake guarantees a single runner). Acquire/release are free; the
 /// value is that clang now proves worker-only fields (`batch_`, the
-/// emission buffers, the deferred map) are only touched inside a quantum,
+/// emission buffers, the DRR ring) are only touched inside a quantum,
 /// and checked builds verify the same claim dynamically.
 class SNETSAC_CAPABILITY("role") ThreadRole {
  public:

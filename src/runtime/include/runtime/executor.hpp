@@ -70,10 +70,6 @@ class ExecutorIface {
   virtual void help_until(Mutex& mu, CondVar& cv,
                           const std::function<bool()>& done) = 0;
 
-  /// True when the calling thread is a worker of this executor (i.e. it
-  /// may execute queued tasks inline inside help_until).
-  virtual bool on_worker_thread() const = 0;
-
   virtual unsigned size() const = 0;
 
   /// True for schedule-exploration executors that serialise all tasks and
@@ -110,9 +106,6 @@ class Executor : public ExecutorIface {
   void help_until(Mutex& mu, CondVar& cv,
                   const std::function<bool()>& done) override;
 
-  /// True when the calling thread is one of this executor's workers.
-  bool on_worker_thread() const override;
-
   unsigned size() const override { return static_cast<unsigned>(queues_.size()); }
 
   /// Tasks run over the executor's lifetime (observability).
@@ -140,6 +133,9 @@ class Executor : public ExecutorIface {
   /// pointers (its elements must be trivially copyable words).
   using TaskFn = std::function<void()>;
 
+  /// True when the calling thread is one of this executor's workers: the
+  /// branch help_until takes between helping and a plain wait.
+  bool on_worker_thread() const;
   void worker_loop(unsigned index);
   /// Pops one runnable task (own deque → injector → steal); empty-handed
   /// returns false. \p self is the calling worker's shard index; \p stolen

@@ -17,7 +17,7 @@
 /// Yield points are the task boundaries: the S-Net scheduler disables
 /// quantum tail-chaining when `deterministic()` is true, so every entity
 /// quantum — and therefore every enqueue, drain, stall, credit release
-/// and defer/flush transition, each of which ends or starts a quantum —
+/// and emission flush, each of which ends or starts a quantum —
 /// is a distinct scheduling decision the strategy can reorder.
 ///
 /// `help_until` is the pump: the (single) client thread runs pending
@@ -70,9 +70,6 @@ class SimExecutor final : public ExecutorIface {
   void submit(std::function<void()> task) override;
   void help_until(Mutex& mu, CondVar& cv,
                   const std::function<bool()>& done) override;
-  /// Always true: all code runs on the one simulated "worker", so every
-  /// blocking client path routes through help_until and becomes a pump.
-  bool on_worker_thread() const override { return true; }
   unsigned size() const override { return 1; }
   bool deterministic() const override { return true; }
 

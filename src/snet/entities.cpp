@@ -13,53 +13,17 @@ void OutputEntity::on_record(Record r) {
   // Stamps must not escape to the client: det regions are closed by their
   // collectors before this point; clearing here is belt-and-braces.
   r.det_stack().clear();
-  SessionState* const s = r.session_state();
-  if (defer_pending(s)) {
-    // Records of this session are already parked on the credit key: the
-    // newcomer queues behind them (per-session FIFO — it must not
-    // overtake), and is accounted against the session's credit so the
-    // inject gate sees it.
-    net_.note_deferred_output(s);
-    defer_record(s, std::move(r));
-    return;
-  }
   // Stage for the quantum-end batch push: one buffer-lock acquisition and
   // one client wakeup for the whole quantum. The staged record stays live
-  // until run_quantum's flush (after on_quantum_end), and
-  // push_output_batch keeps per-session FIFO for refusals.
+  // until run_quantum's flush (after on_quantum_end).
   staged_.push_back(std::move(r));
 }
 
 void OutputEntity::on_quantum_end() {
   quantum_role_.assert_held();
-  if (staged_.empty()) {
-    return;
+  if (!staged_.empty()) {
+    net_.push_output_batch(staged_);
   }
-  // One lock for the whole quantum's output. Refused records come back in
-  // arrival order with the refusal accounting (credit park, waiter
-  // registration) already done. The session's output credit account is
-  // exhausted: do NOT stall this shared entity (that would be a
-  // cross-session head-of-line block); defer only the refused records on
-  // the (entity, session) key — push_output_batch registered us for a
-  // poke when the client replenishes the account.
-  refused_.clear();
-  net_.push_output_batch(staged_, this, refused_);
-  staged_.clear();
-  for (Record& r : refused_) {
-    defer_record(r.session_state(), std::move(r));
-  }
-  refused_.clear();
-}
-
-void OutputEntity::on_poke() {
-  quantum_role_.assert_held();
-  // Credit returned for some session (or one was released/failed): retry
-  // the deferred records. A refusal re-registers the waiter atomically,
-  // so stopping at the first refusal per session is safe.
-  flush_deferred([this](SessionState*, Record& r) {
-    quantum_role_.assert_held();  // lambda analysed as a free function
-    return net_.retry_deferred_output(r, this) == Network::PushOutcome::kAccepted;
-  });
 }
 
 // ----------------------------------------------------------------- Input
@@ -101,7 +65,9 @@ void InputDispatchEntity::on_poke() {
   // forwards that many staged records into the shared entry; a hot
   // session's surplus waits in its own staging queue. The quantum budget
   // bounds one poke's work — leftover backlog re-pokes us so the worker
-  // is yielded between rounds.
+  // is yielded between rounds. A turn the budget or a stall cuts short
+  // keeps its session at the ring front with the rest of its deficit, so
+  // the next poke finishes that turn before anyone else's starts.
   net_.dispatch_take_ready(active_);
   const unsigned grant = net_.drr_grant();
   unsigned budget = grant * 4;
@@ -127,8 +93,10 @@ void InputDispatchEntity::on_poke() {
       }
       continue;
     }
-    s->deficit_ += static_cast<std::int64_t>(grant) * s->weight();
-    s->drr_turns_.fetch_add(1, std::memory_order_relaxed);
+    if (s->deficit_ == 0) {
+      s->deficit_ = static_cast<std::int64_t>(grant) * s->weight();
+      s->drr_turns_.fetch_add(1, std::memory_order_relaxed);
+    }
     bool emptied = false;
     while (s->deficit_ > 0 && budget > 0 && !stall_requested()) {
       auto r = s->staging_.try_pop_collect(released_);
@@ -147,8 +115,10 @@ void InputDispatchEntity::on_poke() {
       if (!delist(s)) {
         active_.push_back(s);  // a concurrent inject re-listed it our way
       }
+    } else if (s->deficit_ > 0) {
+      active_.push_front(s);  // cut short: resume this turn first
     } else {
-      active_.push_back(s);  // rotate; deficit carries across the stall/budget
+      active_.push_back(s);  // turn complete: rotate
     }
   }
   if (stall_requested()) {

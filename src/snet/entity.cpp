@@ -118,39 +118,6 @@ void Entity::resume_from_stall() {
   }
 }
 
-bool Entity::defer_pending(const SessionState* s) const {
-  const auto it = deferred_.find(const_cast<SessionState*>(s));
-  return it != deferred_.end() && !it->second.empty();
-}
-
-void Entity::defer_record(SessionState* s, Record r) {
-  // The record survives inside the entity: keep it live (and its session
-  // state alive) past the generic consume decrement of run_quantum —
-  // the same compensation pattern det collectors use for their buffers.
-  net_.live_add(s, 1);
-  deferred_[s].push_back(std::move(r));
-  ++deferred_total_;
-}
-
-void Entity::flush_deferred(
-    const std::function<bool(SessionState*, Record&)>& attempt) {
-  for (auto it = deferred_.begin(); it != deferred_.end();) {
-    auto& queue = it->second;
-    while (!queue.empty() && !stall_requested()) {
-      if (!attempt(it->first, queue.front())) {
-        break;  // no credit yet: the refusal re-registered the waiter
-      }
-      queue.pop_front();
-      --deferred_total_;
-      net_.live_sub(it->first, 1);
-    }
-    it = queue.empty() ? deferred_.erase(it) : std::next(it);
-    if (stall_requested()) {
-      return;
-    }
-  }
-}
-
 void Entity::release_inbox_credit() {
   released_.clear();
   inbox_.take_released(released_);

@@ -26,19 +26,17 @@
 namespace snet::detail {
 
 /// Terminal entity: demultiplexes records to their session's OutputPort.
-/// A session whose output credit account is exhausted does *not* stall
-/// this (shared) entity: its records are deferred on the (entity, session)
-/// credit key — per-session FIFO preserved — while every other session's
-/// records keep flowing. The credit release (a client pop crossing the
-/// watermark, a handle release, a fail-fast) pokes the entity, whose
-/// on_poke retries the deferred sessions.
+/// It never waits and never refuses: every record is buffered in (or
+/// pushed to the sink of) its session, in arrival order. A session whose
+/// output credit account is exhausted is held back at its own inject gate
+/// (Network::port_inject), so this shared entity never head-of-line
+/// blocks one session behind another.
 class OutputEntity final : public Entity {
  public:
   explicit OutputEntity(Network& net) : Entity(net, "output") {}
 
  protected:
   void on_record(Record r) override;
-  void on_poke() override;
   void on_quantum_end() override;
 
  private:
@@ -47,8 +45,6 @@ class OutputEntity final : public Entity {
   /// end (on_quantum_end runs before run_quantum's flush retires the
   /// records' live counts, so staged records are never dead). Worker-only.
   std::vector<Record> staged_ SNETSAC_GUARDED_BY(quantum_role_);
-  /// push_output_batch overflow, reused.
-  std::vector<Record> refused_ SNETSAC_GUARDED_BY(quantum_role_);
 };
 
 /// Head of the network: drains the per-session input staging queues into

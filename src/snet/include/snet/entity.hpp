@@ -29,13 +29,6 @@
 ///    adjustment per batch instead of one per record. Flushes happen at a
 ///    bounded threshold and at every quantum exit, *before* a stall parks
 ///    the entity, so order and accounting survive suspensions, and
-///  * session-keyed record deferral: an entity serving many client
-///    sessions (the output demux) can park records on an *(entity,
-///    session)* credit key instead of stalling wholesale — records of the
-///    credit-starved session are held back in per-session FIFO order
-///    while every other session's records keep flowing, which is what
-///    turns the shared output entity's stall from a cross-session
-///    head-of-line block into a per-tenant pause, and
 ///  * linear-segment fusion: an *inline stage* (a box or filter whose only
 ///    producer is its left neighbour in a fused serial segment, see
 ///    Network::instantiate and serial_segments) has no live inbox. A send
@@ -45,10 +38,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/annotations.hpp"
@@ -106,10 +97,10 @@ class Entity {
   /// inbox, a popped output buffer).
   void resume_from_stall();
 
-  /// Delivers a control nudge: the entity's next quantum starts with
-  /// on_poke even if no record arrives. Used by per-session credit
-  /// releases (the poked entity re-examines its deferred sessions) and by
-  /// the input dispatcher's wakeup protocol. Thread-safe.
+  /// Delivers a control nudge: the entity's next quantum runs on_poke even
+  /// if no record arrives. Used by the input dispatcher's wakeup protocol,
+  /// det-group completion and synchrocell eviction of dead sessions.
+  /// Thread-safe.
   void poke() { deliver(Message::poke()); }
 
   std::uint64_t records_in() const { return in_count_.load(std::memory_order_relaxed); }
@@ -125,13 +116,6 @@ class Entity {
   void fuse_into(Entity& head);
   /// True for an inline stage (stats and tests; see fuse_into).
   bool fused() const { return head_ != nullptr; }
-
-  /// Records parked on (this, session) credit keys, readable from any
-  /// thread (the invariant layer correlates it with the sessions' parked
-  /// counters at safe points).
-  std::size_t deferred_depth() const {
-    return deferred_total_.load(std::memory_order_acquire);
-  }
 
   /// Lost-wakeup query for the invariant layer: true when a producer is
   /// still registered for this inbox's credit although the queue has
@@ -199,31 +183,6 @@ class Entity {
   /// release loops (det collectors) should yield when they see this.
   bool stall_requested() const SNETSAC_REQUIRES(quantum_role_) {
     return static_cast<bool>(stall_gate_);
-  }
-
-  // --- (entity, session) deferral --------------------------------------
-  // Per-session parking for entities that must not stall wholesale when a
-  // single session runs out of credit. Only the worker currently running
-  // the entity touches the deferred map; the wakeup comes as a poke() from
-  // the credit release. A deferred record stays *live* (the compensation
-  // mirrors the det-collector buffering pattern), so quiescence and
-  // session-state lifetime remain correct while records are parked.
-
-  /// True when records of \p s are currently deferred — later records of
-  /// the same session must defer too (per-session FIFO, the
-  /// batch-remainder ordering rule of the stall protocol).
-  bool defer_pending(const SessionState* s) const SNETSAC_REQUIRES(quantum_role_);
-  /// Parks \p r on the (this, s) credit key.
-  void defer_record(SessionState* s, Record r) SNETSAC_REQUIRES(quantum_role_);
-  /// Retries every deferred session through \p attempt (true = consumed:
-  /// the record was delivered or dropped). Stops per session at the first
-  /// refusal; a refusal re-registered the credit waiter, so a later poke
-  /// re-enters here. Respects stall_requested().
-  void flush_deferred(const std::function<bool(SessionState*, Record&)>& attempt)
-      SNETSAC_REQUIRES(quantum_role_);
-  /// Records currently parked across all sessions.
-  std::size_t deferred_count() const {
-    return deferred_total_.load(std::memory_order_relaxed);
   }
 
   Network& net_;
@@ -299,14 +258,6 @@ class Entity {
   std::size_t batch_pos_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
   /// Scratch for credit firing.
   std::vector<std::function<void()>> released_ SNETSAC_GUARDED_BY(quantum_role_);
-
-  /// (entity, session)-deferred records; only touched by the worker
-  /// currently running the entity (like batch_).
-  std::unordered_map<SessionState*, std::deque<Record>> deferred_
-      SNETSAC_GUARDED_BY(quantum_role_);
-  /// Atomic mirror of the deferred map's total so deferred_depth() is
-  /// readable from any thread; mutated only inside quanta.
-  std::atomic<std::size_t> deferred_total_{0};
 
   /// Batched-emission state (worker-only, like batch_). The delta vectors
   /// are linear-scanned: a quantum touches a handful of (scope, seq) and

@@ -109,19 +109,22 @@ struct Options {
   /// Max records an entity processes per scheduling quantum (fairness);
   /// also the per-weight-unit DRR grant of the input dispatcher.
   unsigned quantum = 16;
-  /// Per-entity inbox bound in messages (0 = unbounded), also the bound of
-  /// each session's input staging queue. When a downstream inbox reaches
-  /// the bound, the producing entity suspends at its next message boundary
-  /// and is re-queued once the consumer drains — so total in-flight
-  /// records are O(inbox_capacity × entities).
+  /// Per-entity inbox bound in messages (0 = unbounded). When a downstream
+  /// inbox reaches the bound, the producing entity suspends at its next
+  /// message boundary and is re-queued once the consumer drains — so total
+  /// in-flight records are O(inbox_capacity × entities). A bounded
+  /// network also bounds each session's input staging queue, to
+  /// max(inbox_capacity, quantum × weight) records: one whole DRR turn.
   std::size_t inbox_capacity = 0;
   /// Per-session output credit account in records (0 = unbounded;
   /// overridable per session via SessionOptions::output_capacity). A
   /// session whose un-consumed output reaches the bound blocks its *own*
-  /// injects until the client pops; records of that session already at the
-  /// output entity are deferred on a per-session credit key, so other
-  /// sessions' outputs keep flowing (no cross-session head-of-line
-  /// blocking). Ignored for sessions in on_output (push callback) mode.
+  /// injects until the client pops. The shared output entity never waits:
+  /// records of the session already in flight when the gate closed are
+  /// buffered too, so an OutputPort buffer may exceed the bound by them,
+  /// and other sessions' outputs keep flowing (no cross-session
+  /// head-of-line blocking). Ignored for sessions in on_output (push
+  /// callback) mode.
   std::size_t output_capacity = 0;
   /// Per-session cap on records buffered *inside* det collectors and
   /// synchrocells (0 = unbounded). Ordering/joining need interior
@@ -180,7 +183,8 @@ struct SessionStats {
   std::uint32_t id = 0;
   unsigned weight = 1;
   bool errored = false;
-  /// Records of the session currently inside the network.
+  /// Records of the session currently inside the network; output already
+  /// buffered for the client is not live.
   std::int64_t live = 0;
   /// Un-consumed output charged against the session's credit account.
   std::int64_t output_account = 0;
@@ -191,8 +195,9 @@ struct SessionStats {
   std::uint64_t dispatch_turns = 0;
   /// Injects that blocked on the output credit account.
   std::uint64_t credit_waits = 0;
-  /// Records deferred at the output entity for lack of output credit
-  /// (the per-session stall events of the shared output entity).
+  /// Records buffered while the session's output account was already at
+  /// or over its bound (records that were in flight when the inject gate
+  /// closed).
   std::uint64_t output_stalls = 0;
   /// Det/sync records accepted over the cap under the Spill policy.
   std::uint64_t spilled = 0;
@@ -202,6 +207,8 @@ struct NetworkStats {
   std::vector<EntityStats> entities;
   std::uint64_t injected = 0;
   std::uint64_t produced = 0;
+  /// High-water mark of records inside the network (staged, in inboxes or
+  /// entities); buffered output is not counted.
   std::int64_t peak_live = 0;
   /// Entity quanta this network dispatched into the shared executor.
   std::uint64_t quanta = 0;
@@ -209,8 +216,8 @@ struct NetworkStats {
   /// network's share of pool-level work stealing, not the pool-wide count.
   std::uint64_t steals = 0;
   /// Times an entity suspended on a full downstream inbox (credit-based
-  /// backpressure events; always 0 when unbounded). Per-session output
-  /// deferrals are counted per session in SessionStats::output_stalls.
+  /// backpressure events; always 0 when unbounded). Output buffered over a
+  /// session's credit bound is counted in SessionStats::output_stalls.
   std::uint64_t suspensions = 0;
   /// Client sessions opened over this network (including the default).
   std::uint64_t sessions = 0;
@@ -296,8 +303,8 @@ class Network {
   /// *safe points* only — between entity quanta, after wait(), or while
   /// the network is idle — because the laws are stated over multi-lock
   /// snapshots. Checks, per live session: output credit account ==
-  /// buffered output + parked (deferred) records; live/interior/account
-  /// counters non-negative; with \p expect_quiescent, that live records
+  /// buffered output records; live/interior/account counters
+  /// non-negative; with \p expect_quiescent, that live records
   /// and open sessions are exactly zero; and that no staging queue holds
   /// registered credit waiters below the release watermark (a lost
   /// wakeup: credit exists, nobody was notified).
@@ -317,31 +324,12 @@ class Network {
   void live_add(SessionState* session, std::int64_t n = 1);
   void live_sub(SessionState* session, std::int64_t n = 1);
 
-  /// Outcome of handing an output record to its session.
-  enum class PushOutcome {
-    kAccepted,  ///< delivered to the session (or dropped: abandoned/errored)
-    kNoCredit,  ///< session account full — \p r stays deferred on the
-                ///< (entity, session) credit key; \p producer was registered
-                ///< and will be poked when the client replenishes credit
-  };
-  /// Retries a previously deferred output record: delivers it to its
-  /// session, its park charge converting into a buffer charge. A renewed
-  /// refusal keeps the record parked; the refusal and the waiter
-  /// registration are atomic under out_mu_, so a deferred record can never
-  /// miss its wakeup.
-  PushOutcome retry_deferred_output(Record& r, Entity* producer);
-  /// Accounts a record deferred behind an *already deferred* record of the
-  /// same session (the ordering path: later records may not overtake).
-  void note_deferred_output(SessionState* s);
   /// Delivers a whole quantum's staged output to the sessions under
-  /// one buffer-lock acquisition with one client wakeup. Records whose
-  /// session is out of credit come back in \p refused (arrival order, with
-  /// the park accounting and waiter registration already done — the caller
-  /// defers them); once one record of a session refuses, every later
-  /// record of that session in the batch refuses too (per-session FIFO).
+  /// one buffer-lock acquisition with one client wakeup: each record goes
+  /// to its session's sink or buffer (charging the output account), or is
+  /// dropped when its session was released or failed. Never refuses.
   /// \p records is left empty.
-  void push_output_batch(std::vector<Record>& records, Entity* producer,
-                         std::vector<Record>& refused);
+  void push_output_batch(std::vector<Record>& records);
 
   /// Per-session interior (det/sync) buffering account: charges one
   /// record; false when the session is now over Options::det_capacity —
@@ -365,7 +353,8 @@ class Network {
   /// account drains below the watermark, and counts the spilled record.
   void spill_session(SessionState* s);
   /// FailFast policy: errors exactly this session — its ports rethrow
-  /// \p err, its staged/deferred records are dropped, siblings unaffected.
+  /// \p err, its staged and buffered records are dropped, siblings
+  /// unaffected.
   void fail_session(SessionState* s, std::exception_ptr err);
 
   void note_suspension() { suspensions_.fetch_add(1, std::memory_order_relaxed); }
@@ -390,13 +379,12 @@ class Network {
   bool dispatch_delist(SessionState* s);
 
   // ------- port-internal interface (used by InputPort/OutputPort) ------
-  void port_inject(SessionState& s, Record r);
-  bool port_try_inject(SessionState& s, Record& r);
-  /// Batched inject: when nothing needs arbitration (no session listed
-  /// for DRR, unbounded entry, no output credit gate) the
-  /// whole vector is stamped, counted and delivered to the entry under
-  /// one inbox lock; otherwise falls back to per-record port_inject.
-  void port_inject_all(SessionState& s, std::vector<Record> records);
+  /// The one admission routine behind inject, try_inject and inject_all:
+  /// stamps \p r with the session and hands it to the entry (or the
+  /// session's staging queue). Where the output credit account or the
+  /// staging queue is full it waits when \p block, else returns false
+  /// with \p r handed back untouched.
+  bool port_inject(SessionState& s, Record& r, bool block);
   void port_close(SessionState& s);
   std::optional<Record> port_next(SessionState& s);
   /// Moves the session's entire output buffer into \p out under one lock,
@@ -406,7 +394,7 @@ class Network {
   std::size_t port_drain(SessionState& s, std::vector<Record>& out);
   void port_on_output(SessionState& s, std::function<void(Record)> callback);
   /// Session-handle destruction: closes the input, discards unconsumed
-  /// output, resumes producers stalled on it, and reclaims the state if
+  /// output, wakes injects gated on it, and reclaims the state if
   /// the session has fully drained (else it is marked abandoned and
   /// future outputs are dropped). \p s must not be used afterwards.
   void port_release(SessionState& s);
@@ -415,13 +403,11 @@ class Network {
   SessionState* new_session_state(std::uint32_t id, SessionOptions opts);
   /// The lazily created default session (id 0).
   SessionState* default_state();
-  /// Pops the front of \p s's buffer and releases output credit. Entities
-  /// deferred on the session's credit are moved into \p resumed and
+  /// Pops the front of \p s's buffer and releases output credit.
   /// \p crossed reports whether the pop crossed the credit bound — the
-  /// caller pokes/notifies *after* dropping out_mu_ (callbacks never run
-  /// under the lock; the thread-safety analysis enforces the shape).
-  Record pop_output_locked(SessionState& s, std::vector<Entity*>& resumed,
-                           bool& crossed) SNETSAC_REQUIRES(out_mu_);
+  /// caller notifies *after* dropping out_mu_.
+  Record pop_output_locked(SessionState& s, bool& crossed)
+      SNETSAC_REQUIRES(out_mu_);
   /// Lists \p s with the input dispatcher (idempotent) and pokes it when
   /// the listing is new.
   void dispatch_list(SessionState* s);
@@ -429,9 +415,19 @@ class Network {
   /// release/fail paths, where the session may already be listed (parked
   /// on the dispatcher's ring) and the dispatcher still needs the nudge.
   void dispatch_wake(SessionState* s);
-  /// Blocks until \p s's output credit account has room (cooperatively on
-  /// a worker thread). Rethrows on network/session failure.
-  void await_output_account(SessionState& s);
+  /// The output credit gate: true once \p s's account has room. At the
+  /// bound a non-blocking caller gets false; a blocking one waits through
+  /// help_until and rethrows if the network or the session fails.
+  bool await_output_account(SessionState& s, bool block);
+  /// Waits (through help_until) until \p s's staging queue releases
+  /// credit. On network/session failure it first returns the live charge
+  /// of the record the caller holds, then rethrows.
+  void await_staging_credit(SessionState& s);
+  /// The network's first error, else \p s's fail-fast error, else null.
+  std::exception_ptr failure_locked(SessionState& s) const
+      SNETSAC_REQUIRES(out_mu_);
+  /// Rethrows failure_locked(s), if any.
+  void rethrow_failure(SessionState& s) const;
   /// Pokes every synchrocell so slots stored by dead (errored/released)
   /// sessions are evicted (see SyncEntity::on_poke).
   void poke_sync_entities();
@@ -452,7 +448,6 @@ class Network {
 
   std::unique_ptr<Scheduler> sched_;
   Entity* entry_ = nullptr;
-  Entity* out_entity_ = nullptr;
   Entity* dispatch_ = nullptr;
 
   std::atomic<std::int64_t> live_{0};

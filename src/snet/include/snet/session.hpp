@@ -21,15 +21,18 @@
 ///  * every session owns an **output credit account** of
 ///    `output_capacity` records (`SessionOptions::output_capacity`
 ///    overrides the network default): `InputPort::inject` waits for
-///    session credit when the session's un-consumed output (client buffer
-///    plus records deferred at the output entity) reaches the bound, and
-///    the client's `OutputPort::next` pops replenish it. A slow reader
-///    therefore throttles only *itself* — the shared output entity never
-///    head-of-line blocks other sessions on its behalf;
+///    session credit when the session's un-consumed output (its
+///    OutputPort buffer) reaches the bound, and the client's
+///    `OutputPort::next` pops replenish it. A slow reader therefore
+///    throttles only *itself* — the shared output entity buffers every
+///    record it receives and never head-of-line blocks other sessions on
+///    its behalf. The records already in flight when the gate closed are
+///    buffered too, so a buffer may exceed the bound by them;
 ///  * every session owns a bounded **input staging queue**
-///    (`Options::inbox_capacity` records): a hot tenant blocks on its own
-///    queue while the network's input dispatcher forwards staged records
-///    into the shared entry by weighted deficit-round-robin
+///    (max(`Options::inbox_capacity`, `quantum` × weight) records, or
+///    unbounded with the inbox): a hot tenant blocks on its own queue
+///    while the network's input dispatcher forwards staged records into
+///    the shared entry by weighted deficit-round-robin
 ///    (`SessionOptions::weight`), so injection rate cannot monopolise the
 ///    pipeline;
 ///  * `try_inject` reports "full" without blocking when either the staging
@@ -51,13 +54,11 @@
 
 namespace snet {
 
-class Entity;
 class Network;
 class SessionState;
 
 namespace detail {
 class InputDispatchEntity;
-class OutputEntity;
 }  // namespace detail
 
 /// Per-session knobs, fixed at `Network::open_session` time.
@@ -93,8 +94,8 @@ class InputPort {
   /// shed load) instead of stalling.
   bool try_inject(Record& r);
 
-  /// Batched inject: feeds every record, blocking as needed. The batch
-  /// shares the session stamp/credit bookkeeping of a single call site.
+  /// Feeds every record in order, blocking as needed — the same as one
+  /// inject() per record.
   void inject_all(std::vector<Record> records);
 
   /// Declares this session's input finished. Idempotent. The session's
@@ -245,13 +246,13 @@ class SessionState {
   const std::uint32_t id_;
   const unsigned weight_;
   /// Effective output credit account bound (records the client has not
-  /// consumed yet: OutputPort buffer + records deferred at the output
-  /// entity). 0 = unbounded.
+  /// consumed yet: the OutputPort buffer). 0 = unbounded.
   const std::size_t out_cap_;
 
   /// Records of this session currently inside the network, staging queue
-  /// and output-entity deferral included (quiescence is per session:
-  /// closed + live == 0 completes the OutputPort).
+  /// included; buffered output is not live (quiescence is per session:
+  /// closed + live == 0 completes the OutputPort once its buffer is
+  /// popped).
   std::atomic<std::int64_t> live_{0};
   std::atomic<bool> closed_{false};
   std::atomic<bool> abandoned_{false};
@@ -259,29 +260,30 @@ class SessionState {
   std::atomic<bool> throttled_{false};
 
   // --- input side -------------------------------------------------------
-  /// Per-session staging queue (bounded to Options::inbox_capacity): the
-  /// only queue this session's inject can block on, so a full one throttles
-  /// exactly this tenant. Drained by the input dispatcher under DRR.
+  /// Per-session staging queue (bounded to one DRR turn or the inbox bound,
+  /// whichever is larger): the only queue this session's inject can block
+  /// on, so a full one throttles exactly this tenant. Drained by the input
+  /// dispatcher under DRR.
   snetsac::runtime::MpscQueue<Record> staging_;
   /// On the dispatcher's radar.
   bool listed_ SNETSAC_GUARDED_BY(dispatch_mu_) = false;
-  std::int64_t deficit_ = 0;  ///< DRR deficit; input-dispatcher worker only
+  /// DRR deficit left in the session's current turn; input-dispatcher
+  /// worker only. A turn grants deficit only when it starts at zero.
+  std::int64_t deficit_ = 0;
 
   /// Records buffered inside det collectors / synchrocells on behalf of
   /// this session (the per-session interior account, Options::det_capacity).
   std::atomic<std::int64_t> interior_{0};
 
   // --- output credit account -------------------------------------------
-  /// buffer_.size() + parked_: the un-consumed output charged against
-  /// out_cap_. Mutated under Network::out_mu_; atomic so try_inject can
-  /// peek without the lock.
+  /// buffer_.size(): the un-consumed output charged against out_cap_.
+  /// Mutated under Network::out_mu_; atomic so inject can peek without
+  /// the lock.
   std::atomic<std::int64_t> out_account_{0};
-  /// Records deferred at the output entity because the account was full.
-  std::atomic<std::int64_t> parked_{0};
 
   // --- per-session QoS counters (relaxed; surfaced via NetworkStats) ----
   std::atomic<std::uint64_t> credit_waits_{0};  ///< injects that blocked on output credit
-  std::atomic<std::uint64_t> output_parks_{0};  ///< records deferred at the output entity
+  std::atomic<std::uint64_t> output_stalls_{0}; ///< records buffered at or over out_cap_
   std::atomic<std::uint64_t> forwarded_{0};     ///< records the DRR dispatcher forwarded
   std::atomic<std::uint64_t> drr_turns_{0};     ///< DRR turns this session received
   std::atomic<std::uint64_t> spilled_{0};       ///< det/sync records spilled over the cap
@@ -292,8 +294,6 @@ class SessionState {
   std::uint64_t produced_ SNETSAC_GUARDED_BY(out_mu_) = 0;
   /// on_output callback, if any.
   std::function<void(Record)> sink_ SNETSAC_GUARDED_BY(out_mu_);
-  /// Entities awaiting this session's output credit.
-  std::vector<Entity*> out_waiters_ SNETSAC_GUARDED_BY(out_mu_);
   /// Fail-fast error, if any.
   std::exception_ptr error_ SNETSAC_GUARDED_BY(out_mu_);
 

@@ -7,8 +7,8 @@
 /// Each scenario builds a small Network on a seedable SimExecutor
 /// (runtime/sim_executor.hpp) and drives one of the protocol flows the
 /// concurrency layer must keep correct under *every* interleaving:
-/// mid-batch producer stalls, per-session output deferral and flush,
-/// det-buffer Spill and FailFast, DRR arbitration under flood, and a
+/// mid-batch producer stalls, per-session output order across the credit
+/// bound, det-buffer Spill and FailFast, DRR arbitration under flood, and a
 /// fused segment's head stalling on its inline stages' emissions. The
 /// SimExecutor serialises all quanta onto the calling thread and lets a
 /// strategy (PCT priorities, uniform random, or exact replay) pick the

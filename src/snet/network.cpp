@@ -81,8 +81,8 @@ Network::Network(Net topology, Options opts)
     // The store is cheap to hold: no file exists until the first overflow.
     spill_store_ = std::make_unique<wire::SpillStore>(opts_.spill_dir);
   }
-  out_entity_ = adopt(std::make_unique<detail::OutputEntity>(*this));
-  entry_ = instantiate(topology_, out_entity_, "net");
+  entry_ = instantiate(topology_,
+                       adopt(std::make_unique<detail::OutputEntity>(*this)), "net");
   dispatch_ = adopt(std::make_unique<detail::InputDispatchEntity>(*this, entry_));
 }
 
@@ -206,70 +206,102 @@ bool Network::dispatch_delist(SessionState* s) {
 
 // ------------------------------------------------------ inject (per-port)
 
-void Network::await_output_account(SessionState& s) {
-  if (s.out_cap_ == 0) {
-    return;
-  }
-  // All predicate state is either atomic or guarded by out_mu_ (sink_),
-  // and both wait paths evaluate it under the lock — the asserts are the
-  // hand-off that tells the analysis so (and verify it in checked builds).
-  const auto pred = [&] {
-    out_mu_.assert_held();
-    s.assert_output_locked();
-    return failed_.load(std::memory_order_acquire) || s.errored() ||
-           s.abandoned() || static_cast<bool>(s.sink_) ||
-           s.out_account_.load(std::memory_order_relaxed) <
-               static_cast<std::int64_t>(s.out_cap_);
-  };
+std::exception_ptr Network::failure_locked(SessionState& s) const {
+  s.assert_output_locked();
+  return error_ ? error_ : s.error_;
+}
+
+void Network::rethrow_failure(SessionState& s) const {
+  std::exception_ptr err;
   {
-    UniqueLock lock(out_mu_);
-    if (!pred()) {
-      // The session's un-consumed output is at its credit bound: the
-      // inject waits for the client to pop. This is the per-session
-      // analogue of write(2) against a full pipe — and the whole point:
-      // only *this* tenant waits, nobody else's stream is touched.
-      s.credit_waits_.fetch_add(1, std::memory_order_relaxed);
-      if (!exec_.on_worker_thread()) {
-        out_cv_.wait(lock, pred);
-      } else {
-        lock.unlock();
-        exec_.help_until(out_mu_, out_cv_, pred);
-      }
-    }
+    const MutexLock lock(out_mu_);
+    err = failure_locked(s);
   }
-  if (failed_.load(std::memory_order_acquire)) {
-    std::exception_ptr err;
-    {
-      const MutexLock lock(out_mu_);
-      err = error_;
-    }
-    std::rethrow_exception(err);
-  }
-  if (s.errored()) {
-    std::exception_ptr err;
-    {
-      const MutexLock lock(out_mu_);
-      s.assert_output_locked();
-      err = s.error_;
-    }
+  if (err) {
     std::rethrow_exception(err);
   }
 }
 
-void Network::port_inject(SessionState& s, Record r) {
+bool Network::await_output_account(SessionState& s, bool block) {
+  const auto cap = static_cast<std::int64_t>(s.out_cap_);
+  if (s.out_account_.load(std::memory_order_acquire) < cap) {
+    return true;
+  }
+  // A sink consumes directly and a released session drops its output:
+  // neither charges the account. Checked under the lock to be exact.
+  const auto has_credit = [&] {
+    out_mu_.assert_held();
+    s.assert_output_locked();
+    return static_cast<bool>(s.sink_) || s.abandoned() ||
+           s.out_account_.load(std::memory_order_relaxed) < cap;
+  };
+  {
+    const MutexLock lock(out_mu_);
+    if (has_credit()) {
+      return true;
+    }
+    if (!block) {
+      return false;  // "full" for a non-blocking caller
+    }
+    // The session's un-consumed output is at its credit bound: the
+    // inject waits for the client to pop. This is the per-session
+    // analogue of write(2) against a full pipe — and the whole point:
+    // only *this* tenant waits, nobody else's stream is touched.
+    s.credit_waits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // A network failure or this session failing fast wakes the wait too:
+  // nobody may ever pop a dead session's output.
+  exec_.help_until(out_mu_, out_cv_, [&] {
+    return failed_.load(std::memory_order_acquire) || s.errored() || has_credit();
+  });
+  if (failed_.load(std::memory_order_acquire) || s.errored()) {
+    rethrow_failure(s);
+  }
+  return true;
+}
+
+void Network::await_staging_credit(SessionState& s) {
+  // A network failure — or this session failing fast — wakes the wait
+  // too (both bump the epoch): a dead pipeline may never release credit,
+  // so a blocked inject must rethrow rather than hang. The record in hand
+  // never became visible downstream, so its live charge is returned first.
+  if (failed_.load(std::memory_order_acquire) || s.errored()) {
+    live_sub(&s, 1);
+    rethrow_failure(s);
+  }
+  std::uint64_t epoch;
+  {
+    const MutexLock lock(in_mu_);
+    epoch = in_credit_epoch_;
+  }
+  const bool registered = s.staging_.wait_for_credit([this] {
+    {
+      const MutexLock lock(in_mu_);
+      ++in_credit_epoch_;
+    }
+    in_cv_.notify_all();
+  });
+  if (registered) {
+    exec_.help_until(in_mu_, in_cv_, [&] {
+      in_mu_.assert_held();
+      return in_credit_epoch_ != epoch;
+    });
+  }
+}
+
+bool Network::port_inject(SessionState& s, Record& r, bool block) {
   if (s.closed_.load(std::memory_order_acquire)) {
     throw std::logic_error("inject after close_input");
   }
   if (s.errored()) {
-    const MutexLock lock(out_mu_);
-    s.assert_output_locked();
-    std::rethrow_exception(s.error_);
+    rethrow_failure(s);
   }
-  // Per-session output credit gate: a slow reader blocks its own producer
-  // here instead of wedging the shared output entity downstream.
-  await_output_account(s);
+  // Per-session output credit gate: a slow reader holds back its own
+  // producer here, never the shared output entity downstream.
+  if (s.out_cap_ != 0 && !await_output_account(s, block)) {
+    return false;
+  }
   r.set_session(&s);
-  injected_.fetch_add(1, std::memory_order_relaxed);
   // The live increment precedes visibility downstream — a blocked inject
   // holds its record "live", so the network cannot quiesce under it.
   live_add(&s, 1);
@@ -282,133 +314,21 @@ void Network::port_inject(SessionState& s, Record r) {
       s.staging_.empty()) {
     Message m = Message::record(std::move(r));
     if (entry_->try_deliver(m)) {
-      return;
-    }
-    r = std::move(m.rec);
-  }
-  if (!s.staging_.try_push(r)) {
-    // This session's staging queue is full: wait for staging credit (the
-    // dispatcher forwarding our backlog). On an executor worker (a box
-    // injecting into a nested network) help_until executes queued tasks
-    // instead of blocking the pool slot. A network failure — or this
-    // session failing fast — wakes the wait too (both bump the epoch):
-    // a dead pipeline may never release credit, so a blocked inject must
-    // rethrow rather than hang.
-    for (;;) {
-      if (failed_.load(std::memory_order_acquire)) {
-        live_sub(&s, 1);  // the record never became visible downstream
-        std::exception_ptr err;
-        {
-          const MutexLock lock(out_mu_);
-          err = error_;
-        }
-        std::rethrow_exception(err);
-      }
-      if (s.errored()) {
-        live_sub(&s, 1);
-        std::exception_ptr err;
-        {
-          const MutexLock lock(out_mu_);
-          s.assert_output_locked();
-          err = s.error_;
-        }
-        std::rethrow_exception(err);
-      }
-      std::uint64_t epoch;
-      {
-        const MutexLock lock(in_mu_);
-        epoch = in_credit_epoch_;
-      }
-      const bool registered = s.staging_.wait_for_credit([this] {
-        {
-          const MutexLock lock(in_mu_);
-          ++in_credit_epoch_;
-        }
-        in_cv_.notify_all();
-      });
-      if (registered) {
-        exec_.help_until(in_mu_, in_cv_, [&] {
-          in_mu_.assert_held();
-          return in_credit_epoch_ != epoch;
-        });
-      }
-      if (s.staging_.try_push(r)) {
-        break;
-      }
-    }
-  }
-  dispatch_list(&s);
-}
-
-void Network::port_inject_all(SessionState& s, std::vector<Record> records) {
-  if (records.empty()) {
-    return;
-  }
-  // Bulk fast path: when there is nothing to arbitrate or gate — no
-  // session listed for DRR, this session unthrottled with an empty
-  // staging queue, unbounded entry inbox (nothing to refuse) and no
-  // output credit account (nothing to await per record) — the whole
-  // vector is stamped, counted and delivered under one inbox lock. Any
-  // gate present falls back to the per-record path, which enforces it.
-  if (opts_.inbox_capacity == 0 && s.out_cap_ == 0 &&
-      !s.closed_.load(std::memory_order_acquire) && !s.errored() &&
-      listed_count_.load(std::memory_order_acquire) == 0 && !s.throttled() &&
-      s.staging_.empty()) {
-    const auto n = static_cast<std::int64_t>(records.size());
-    std::vector<Message> msgs;
-    msgs.reserve(records.size());
-    for (Record& r : records) {
-      r.set_session(&s);
-      msgs.push_back(Message::record(std::move(r)));
-    }
-    injected_.fetch_add(static_cast<std::uint64_t>(n),
-                        std::memory_order_relaxed);
-    live_add(&s, n);
-    entry_->deliver_all(msgs);
-    return;
-  }
-  for (Record& r : records) {
-    port_inject(s, std::move(r));
-  }
-}
-
-bool Network::port_try_inject(SessionState& s, Record& r) {
-  if (s.closed_.load(std::memory_order_acquire)) {
-    throw std::logic_error("inject after close_input");
-  }
-  if (s.errored()) {
-    const MutexLock lock(out_mu_);
-    s.assert_output_locked();
-    std::rethrow_exception(s.error_);
-  }
-  if (s.out_cap_ != 0 &&
-      s.out_account_.load(std::memory_order_acquire) >=
-          static_cast<std::int64_t>(s.out_cap_)) {
-    // Output credit exhausted — "full" for a non-blocking caller, unless
-    // a sink consumes directly (checked under the lock to be exact).
-    const MutexLock lock(out_mu_);
-    s.assert_output_locked();
-    if (!s.sink_ && !s.abandoned() &&
-        s.out_account_.load(std::memory_order_relaxed) >=
-            static_cast<std::int64_t>(s.out_cap_)) {
-      return false;
-    }
-  }
-  r.set_session(&s);
-  live_add(&s, 1);
-  if (listed_count_.load(std::memory_order_acquire) == 0 && !s.throttled() &&
-      s.staging_.empty()) {
-    Message m = Message::record(std::move(r));
-    if (entry_->try_deliver(m)) {
       injected_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     r = std::move(m.rec);
   }
-  if (!s.staging_.try_push(r)) {
-    live_sub(&s, 1);
-    r.set_session(nullptr);  // hand the record back untouched
-    return false;
+  // A full staging queue is "full" for a non-blocking caller; a blocking
+  // one waits for the dispatcher to forward its backlog (on an executor
+  // worker, help_until runs queued tasks instead of blocking the slot).
+  while (!s.staging_.try_push(r)) {
+    if (!block) {
+      live_sub(&s, 1);
+      r.set_session(nullptr);  // hand the record back untouched
+      return false;
+    }
+    await_staging_credit(s);
   }
   injected_.fetch_add(1, std::memory_order_relaxed);
   dispatch_list(&s);
@@ -429,8 +349,7 @@ void Network::port_close(SessionState& s) {
 
 // ---------------------------------------------------------- output (demux)
 
-Record Network::pop_output_locked(SessionState& s, std::vector<Entity*>& resumed,
-                                  bool& crossed) {
+Record Network::pop_output_locked(SessionState& s, bool& crossed) {
   s.assert_output_locked();
   Record r = std::move(s.buffer_.front());
   s.buffer_.pop_front();
@@ -440,14 +359,6 @@ Record Network::pop_output_locked(SessionState& s, std::vector<Entity*>& resumed
                                             << " output account underflow: pop "
                                                "with account "
                                             << before);
-  if (!s.out_waiters_.empty() &&
-      (s.out_cap_ == 0 || s.buffer_.size() <= s.out_cap_ / 2)) {
-    // The waiters deferred records on the (entity, session) credit key; a
-    // poke (done by the caller, outside the lock) makes their next quantum
-    // retry them. It is not a wholesale stall, so this is a nudge, not a
-    // resume.
-    resumed.swap(s.out_waiters_);
-  }
   // Wake the session's gated injects only when this pop actually crossed
   // the credit bound (account cap → cap-1); pops above or below the
   // boundary cannot change the gate predicate, and an unconditional
@@ -458,7 +369,6 @@ Record Network::pop_output_locked(SessionState& s, std::vector<Entity*>& resumed
 }
 
 std::size_t Network::port_drain(SessionState& s, std::vector<Record>& out) {
-  std::vector<Entity*> resumed;
   std::size_t n = 0;
   bool gated = false;
   {
@@ -482,15 +392,9 @@ std::size_t Network::port_drain(SessionState& s, std::vector<Record>& out) {
       out.push_back(std::move(r));
     }
     s.buffer_.clear();
-    if (!s.out_waiters_.empty()) {
-      resumed.swap(s.out_waiters_);  // buffer empty: below any watermark
-    }
   }
   if (gated) {
     out_cv_.notify_all();
-  }
-  for (Entity* e : resumed) {
-    e->poke();
   }
   return n;
 }
@@ -500,76 +404,38 @@ std::optional<Record> Network::port_next(SessionState& s) {
     return s.closed_.load(std::memory_order_acquire) &&
            s.live_.load(std::memory_order_acquire) == 0;
   };
-  const auto ready = [&] {
-    out_mu_.assert_held();
-    s.assert_output_locked();
-    return error_ || s.error_ || !s.buffer_.empty() || session_done();
-  };
-  if (!exec_.on_worker_thread()) {
-    // Client thread: classic single-lock wait-and-pop. The pop's wakeups
-    // (credit-bound notify, deferred-producer pokes) run after the lock is
-    // dropped — callbacks never run under out_mu_.
-    std::optional<Record> r;
-    std::vector<Entity*> resumed;
-    bool crossed = false;
-    {
-      UniqueLock lock(out_mu_);
-      out_cv_.wait(lock, ready);
-      if (error_) {
-        std::rethrow_exception(error_);
-      }
-      if (s.error_) {
-        std::rethrow_exception(s.error_);
-      }
-      if (!s.buffer_.empty()) {
-        r = pop_output_locked(s, resumed, crossed);
-      }
-    }
-    if (crossed) {
-      out_cv_.notify_all();
-    }
-    for (Entity* e : resumed) {
-      e->poke();
-    }
-    return r;  // nullopt ⟺ session closed and drained
-  }
-  // Executor worker (a box draining a nested network): wait cooperatively —
-  // execute queued tasks, including this network's own quanta, instead of
-  // blocking the pool slot. Loops because the lock is released between the
-  // wait and the pop: a concurrent consumer may take the output we were
-  // woken for.
+  // Loops because the lock is released between the wait and the pop: a
+  // concurrent consumer may take the output we were woken for.
   for (;;) {
-    exec_.help_until(out_mu_, out_cv_, ready);
     std::optional<Record> r;
-    bool done = false;
-    std::vector<Entity*> resumed;
     bool crossed = false;
     {
-      UniqueLock lock(out_mu_);
-      if (error_) {
-        std::rethrow_exception(error_);
-      }
-      if (s.error_) {
-        std::rethrow_exception(s.error_);
+      const MutexLock lock(out_mu_);
+      s.assert_output_locked();
+      if (const std::exception_ptr err = failure_locked(s)) {
+        std::rethrow_exception(err);
       }
       if (!s.buffer_.empty()) {
-        r = pop_output_locked(s, resumed, crossed);
+        r = pop_output_locked(s, crossed);
       } else if (session_done()) {
-        done = true;
+        return std::nullopt;
       }
-    }
-    if (crossed) {
-      out_cv_.notify_all();
-    }
-    for (Entity* e : resumed) {
-      e->poke();
     }
     if (r.has_value()) {
+      // The credit-bound notify runs after the lock is dropped.
+      if (crossed) {
+        out_cv_.notify_all();
+      }
       return r;
     }
-    if (done) {
-      return std::nullopt;
-    }
+    // On an executor worker (a box draining a nested network) help_until
+    // executes queued tasks, including this network's own quanta, instead
+    // of blocking the pool slot; on a client thread it is a plain wait.
+    exec_.help_until(out_mu_, out_cv_, [&] {
+      out_mu_.assert_held();
+      s.assert_output_locked();
+      return error_ || s.error_ || !s.buffer_.empty() || session_done();
+    });
   }
 }
 
@@ -578,8 +444,9 @@ void Network::port_on_output(SessionState& s, std::function<void(Record)> callba
   // is observed empty under the lock, so a record pushed concurrently is
   // either buffered (and flushed by a later iteration, in order) or
   // delivered directly strictly after the flush completed — the callback
-  // sees every record exactly once, in session order, serialised.
-  std::vector<Entity*> resumed;
+  // sees every record exactly once, in session order, serialised. The
+  // buffer may hold more than the credit bound (records already in flight
+  // when the gate closed); they all flush here.
   for (;;) {
     std::deque<Record> pending;
     {
@@ -592,7 +459,6 @@ void Network::port_on_output(SessionState& s, std::function<void(Record)> callba
       }
       if (s.buffer_.empty()) {
         s.sink_ = std::move(callback);
-        resumed.swap(s.out_waiters_);
         break;
       }
       pending.swap(s.buffer_);
@@ -604,15 +470,8 @@ void Network::port_on_output(SessionState& s, std::function<void(Record)> callba
     }
   }
   // A sink disables the credit account for this session: wake injects
-  // gated on it, and have the output entity replay any deferred records
-  // into the sink (push mode accepts unconditionally).
+  // gated on it.
   out_cv_.notify_all();
-  for (Entity* e : resumed) {
-    e->poke();
-  }
-  if (s.parked_.load(std::memory_order_acquire) > 0) {
-    out_entity_->poke();
-  }
 }
 
 void Network::wait() {
@@ -654,7 +513,7 @@ NetworkStats Network::stats() const {
       row.forwarded = state->forwarded_.load(std::memory_order_relaxed);
       row.dispatch_turns = state->drr_turns_.load(std::memory_order_relaxed);
       row.credit_waits = state->credit_waits_.load(std::memory_order_relaxed);
-      row.output_stalls = state->output_parks_.load(std::memory_order_relaxed);
+      row.output_stalls = state->output_stalls_.load(std::memory_order_relaxed);
       row.spilled = state->spilled_.load(std::memory_order_relaxed);
       s.session_stats.push_back(row);
     }
@@ -729,75 +588,7 @@ void Network::live_sub(SessionState* session, std::int64_t n) {
   }
 }
 
-Network::PushOutcome Network::retry_deferred_output(Record& r, Entity* producer) {
-  SessionState* const stamped = r.session_state();
-  SessionState* s = stamped;
-  if (s == nullptr) {
-    s = default_state();  // records that never crossed a port
-  }
-  bool has_sink = false;
-  {
-    const MutexLock lock(out_mu_);
-    s->assert_output_locked();
-    // The retried record leaves the park: its park charge is dropped, or
-    // becomes the buffer charge when the record is buffered.
-    const auto unpark = [&] {
-      const std::int64_t parked =
-          s->parked_.fetch_sub(1, std::memory_order_relaxed) - 1;
-      SNETSAC_INVARIANT(parked >= 0, "session " << s->id()
-                                                << " parked counter went "
-                                                   "negative: "
-                                                << parked);
-    };
-    if (s->abandoned() || s->errored()) {
-      // Released or failed fast mid-flight: nobody can ever consume this
-      // session's output, so drop it rather than hold its credit.
-      unpark();
-      s->out_account_.fetch_sub(1, std::memory_order_relaxed);
-      return PushOutcome::kAccepted;
-    }
-    has_sink = static_cast<bool>(s->sink_);
-    if (!has_sink) {
-      if (stamped != nullptr && s->out_cap_ != 0 &&
-          s->buffer_.size() >= s->out_cap_) {
-        // Still no credit: the record stays parked (already charged).
-        // Refusal and waiter registration are one critical section: the
-        // client cannot pop-and-release between them, so the producer's
-        // poke can never be lost. Unstamped records (never crossed a port
-        // — no injector to gate) are exempt and buffer unconditionally.
-        if (std::find(s->out_waiters_.begin(), s->out_waiters_.end(), producer) ==
-            s->out_waiters_.end()) {
-          s->out_waiters_.push_back(producer);
-        }
-        return PushOutcome::kNoCredit;
-      }
-      ++produced_;
-      ++s->produced_;
-      s->buffer_.push_back(std::move(r));
-      unpark();  // account unchanged: the park charge becomes the buffer charge
-    } else {
-      ++produced_;
-      ++s->produced_;
-      unpark();
-      s->out_account_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  if (has_sink) {
-    // Invoked through the stored sink outside the lock — safe without a
-    // per-record copy because a sink is install-once (port_on_output
-    // rejects re-installation), the install was observed under out_mu_,
-    // and the record in hand keeps the session state alive (live > 0
-    // until the output entity's consume decrement). Serialised: only the
-    // single worker currently running the output entity reaches here.
-    s->deliver_to_sink(std::move(r));
-  } else {
-    out_cv_.notify_all();
-  }
-  return PushOutcome::kAccepted;
-}
-
-void Network::push_output_batch(std::vector<Record>& records, Entity* producer,
-                                std::vector<Record>& refused) {
+void Network::push_output_batch(std::vector<Record>& records) {
   // Unstamped records (never crossed a port) resolve to the default
   // session *before* the critical section: default_state() takes out_mu_
   // itself on first use.
@@ -808,52 +599,35 @@ void Network::push_output_batch(std::vector<Record>& records, Entity* producer,
       break;
     }
   }
-  // Sink deliveries happen outside the lock (in batch order): the sink is
-  // install-once and only the single worker running the output entity
-  // reaches here, same argument as in retry_deferred_output.
+  // Sink deliveries happen outside the lock, in batch order. Safe without
+  // a per-record copy because a sink is install-once (port_on_output
+  // rejects re-installation), the install was observed under out_mu_, and
+  // the record in hand keeps the session state alive (live > 0 until the
+  // output entity's consume decrement). Serialised: only the single
+  // worker running the output entity reaches here.
   std::vector<std::pair<SessionState*, Record>> sink_calls;
-  // Sessions refused earlier in this batch: later records of the same
-  // session must refuse too, or they would overtake the deferred ones.
-  std::vector<SessionState*> refused_sessions;
   bool any_buffered = false;
   {
     const MutexLock lock(out_mu_);
     for (Record& r : records) {
-      SessionState* const stamped = r.session_state();
-      SessionState* const s = stamped != nullptr ? stamped : fallback;
+      SessionState* const s =
+          r.session_state() != nullptr ? r.session_state() : fallback;
       s->assert_output_locked();
       if (s->abandoned() || s->errored()) {
         continue;  // dropped: nobody can ever consume this session's output
       }
+      ++produced_;
+      ++s->produced_;
       if (s->sink_) {
-        ++produced_;
-        ++s->produced_;
         sink_calls.emplace_back(s, std::move(r));
         continue;
       }
-      const bool cascade =
-          std::find(refused_sessions.begin(), refused_sessions.end(), s) !=
-          refused_sessions.end();
-      if (cascade || (stamped != nullptr && s->out_cap_ != 0 &&
-                      s->buffer_.size() >= s->out_cap_)) {
-        // Park charge + waiter registration, atomic with the refusal under
-        // out_mu_ (the client cannot pop-and-release in between); the caller
-        // turns the returned records into (entity, session) deferrals.
-        s->parked_.fetch_add(1, std::memory_order_relaxed);
-        s->out_account_.fetch_add(1, std::memory_order_relaxed);
-        s->output_parks_.fetch_add(1, std::memory_order_relaxed);
-        if (std::find(s->out_waiters_.begin(), s->out_waiters_.end(),
-                      producer) == s->out_waiters_.end()) {
-          s->out_waiters_.push_back(producer);
-        }
-        if (!cascade) {
-          refused_sessions.push_back(s);
-        }
-        refused.push_back(std::move(r));
-        continue;
+      // Every record is buffered, including the ones that were already in
+      // flight when the account reached its bound: the account gates the
+      // session's injects, never this shared entity.
+      if (s->out_cap_ != 0 && s->buffer_.size() >= s->out_cap_) {
+        s->output_stalls_.fetch_add(1, std::memory_order_relaxed);
       }
-      ++produced_;
-      ++s->produced_;
       s->buffer_.push_back(std::move(r));
       s->out_account_.fetch_add(1, std::memory_order_relaxed);
       any_buffered = true;
@@ -866,13 +640,6 @@ void Network::push_output_batch(std::vector<Record>& records, Entity* producer,
     out_cv_.notify_all();
   }
   records.clear();
-}
-
-void Network::note_deferred_output(SessionState* s) {
-  const MutexLock lock(out_mu_);
-  s->parked_.fetch_add(1, std::memory_order_relaxed);
-  s->out_account_.fetch_add(1, std::memory_order_relaxed);
-  s->output_parks_.fetch_add(1, std::memory_order_relaxed);
 }
 
 // ------------------------------------------- interior (det/sync) account
@@ -924,8 +691,6 @@ void Network::fail_session(SessionState* s, std::exception_ptr err) {
     fail(err);  // unstamped records have no session to isolate
     return;
   }
-  std::vector<Entity*> resumed;
-  bool flush_deferred = false;
   {
     const MutexLock lock(out_mu_);
     s->assert_output_locked();
@@ -942,8 +707,6 @@ void Network::fail_session(SessionState* s, std::exception_ptr err) {
                                                 "discarding its buffer: "
                                              << after);
     s->buffer_.clear();
-    resumed.swap(s->out_waiters_);
-    flush_deferred = s->parked_.load(std::memory_order_relaxed) > 0;
   }
   out_cv_.notify_all();
   // Wake injects blocked on staging credit; they observe errored() and
@@ -953,12 +716,6 @@ void Network::fail_session(SessionState* s, std::exception_ptr err) {
     ++in_credit_epoch_;
   }
   in_cv_.notify_all();
-  for (Entity* e : resumed) {
-    e->poke();
-  }
-  if (flush_deferred) {
-    out_entity_->poke();  // deferred records drain into the drop path
-  }
   dispatch_wake(s);  // the dispatcher drops the session's staged records
   poke_sync_entities();  // evict any slots the dead session left behind
 }
@@ -989,17 +746,13 @@ void Network::port_release(SessionState& s) {
     s.assert_dispatch_locked();
     listed = s.listed_;
   }
-  std::vector<Entity*> resumed;
   bool reclaimed = false;
-  bool flush_deferred = false;
   {
     const MutexLock lock(out_mu_);
     s.assert_output_locked();
     s.out_account_.fetch_sub(static_cast<std::int64_t>(s.buffer_.size()),
                              std::memory_order_relaxed);
     s.buffer_.clear();  // unconsumed output is discarded
-    resumed.swap(s.out_waiters_);
-    flush_deferred = s.parked_.load(std::memory_order_relaxed) > 0;
     // Eager reclamation is only safe while the interior-cap machinery is
     // off: un-throttle and fail-fast wakes (dispatch_wake from
     // interior_release / spill_session / fail_session) cache the raw
@@ -1023,13 +776,7 @@ void Network::port_release(SessionState& s) {
     // network teardown.
   }
   out_cv_.notify_all();
-  for (Entity* e : resumed) {
-    e->poke();
-  }
   if (!reclaimed) {
-    if (flush_deferred) {
-      out_entity_->poke();  // deferred records drain into the drop path
-    }
     dispatch_wake(&s);  // the dispatcher drops any staged records
     poke_sync_entities();  // evict any slots the released session holds
   }
@@ -1080,7 +827,6 @@ void Network::check_protocol_invariants(bool expect_quiescent) const {
       const std::string where = "session " + std::to_string(id) + ": ";
       const std::int64_t account =
           state->out_account_.load(std::memory_order_acquire);
-      const std::int64_t parked = state->parked_.load(std::memory_order_acquire);
       const std::int64_t slive = state->live_.load(std::memory_order_acquire);
       const std::int64_t interior =
           state->interior_.load(std::memory_order_acquire);
@@ -1093,26 +839,20 @@ void Network::check_protocol_invariants(bool expect_quiescent) const {
         invariant_failure("interior (det/sync) account non-negative",
                           where + "interior=" + std::to_string(interior));
       }
-      if (parked < 0) {
-        invariant_failure("parked (deferred output) counter non-negative",
-                          where + "parked=" + std::to_string(parked));
-      }
       if (account < 0) {
         invariant_failure("output credit account non-negative",
                           where + "account=" + std::to_string(account));
       }
       // The conservation law of the output credit protocol: every charge
-      // against the account is either a buffered record awaiting the
-      // client or a record parked (deferred) at the output entity. Holds
-      // under out_mu_ at every instant — all three quantities mutate in
+      // against the account is a buffered record awaiting the client.
+      // Holds under out_mu_ at every instant — both quantities mutate in
       // the same critical sections — including for abandoned/errored
-      // sessions (their discard paths retire buffer and park charges
-      // symmetrically).
-      if (account != buffered + parked) {
-        invariant_failure(
-            "output credit conservation (account == buffered + parked)",
-            where + "account=" + std::to_string(account) + " buffered=" +
-                std::to_string(buffered) + " parked=" + std::to_string(parked));
+      // sessions (their discard paths retire the buffer and its charges
+      // together).
+      if (account != buffered) {
+        invariant_failure("output credit conservation (account == buffered)",
+                          where + "account=" + std::to_string(account) +
+                              " buffered=" + std::to_string(buffered));
       }
       if (expect_quiescent && slive != 0) {
         invariant_failure("quiescence only at true zero",

@@ -1,5 +1,7 @@
 #include "snet/session.hpp"
 
+#include <algorithm>
+
 #include "snet/network.hpp"
 
 namespace snet {
@@ -16,18 +18,28 @@ SessionState::SessionState(Network& net, std::uint32_t id, SessionOptions opts)
       out_cap_(opts.output_capacity),
       in_(net, *this),
       out_(net, *this) {
-  // The staging queue shares the interior inbox bound: a session can stage
-  // at most one inbox worth of records before its own inject blocks.
-  staging_.set_capacity(net.inbox_capacity());
+  // A bounded network bounds the staging queue too: one inbox worth of
+  // records, or one whole DRR turn (quantum × weight) if that is larger —
+  // a smaller queue would run dry mid-turn and forfeit the rest of the
+  // session's weighted share.
+  const std::size_t cap = net.inbox_capacity();
+  staging_.set_capacity(
+      cap == 0 ? 0
+               : std::max<std::size_t>(
+                     cap, static_cast<std::size_t>(net.drr_grant()) * weight_));
   staging_.set_lock_order(50, "session.staging");
 }
 
-void InputPort::inject(Record r) { net_->port_inject(*state_, std::move(r)); }
+void InputPort::inject(Record r) { net_->port_inject(*state_, r, /*block=*/true); }
 
-bool InputPort::try_inject(Record& r) { return net_->port_try_inject(*state_, r); }
+bool InputPort::try_inject(Record& r) {
+  return net_->port_inject(*state_, r, /*block=*/false);
+}
 
 void InputPort::inject_all(std::vector<Record> records) {
-  net_->port_inject_all(*state_, std::move(records));
+  for (Record& r : records) {
+    net_->port_inject(*state_, r, /*block=*/true);
+  }
 }
 
 void InputPort::close() { net_->port_close(*state_); }

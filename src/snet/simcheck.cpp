@@ -144,10 +144,12 @@ void scenario_fused_stall(Sim& sim) {
   net.check_protocol_invariants(true);
 }
 
-/// A session's output credit account fills while records are already in
-/// flight: the overflow defers on the per-session key at the output
-/// entity, and each client pop releases credit that must flush exactly
-/// the next deferred record — per-session FIFO preserved.
+/// Per-session FIFO across the output credit bound: every inject passes
+/// the gate while the account is still empty, so the account fills with
+/// records already in flight. The output entity buffers them past the
+/// bound, and the client's pops must return the whole stream in injection
+/// order, each record exactly once. Its name, deferred-flush, is part of
+/// the schedcheck CLI and of the pinned replay seeds.
 void scenario_deferred_flush(Sim& sim) {
   Options o = sim_options(sim, /*quantum=*/1);
   o.output_capacity = 2;
@@ -156,8 +158,8 @@ void scenario_deferred_flush(Sim& sim) {
   Session s = net.open_session();
   constexpr int kRecords = 6;
   // Nothing runs until a blocking call pumps, so every inject passes the
-  // credit gate while the account is still empty — the records then hit
-  // the bound *inside* the network, exercising deferral, not the gate.
+  // credit gate while the account is still empty — the records then cross
+  // the bound *inside* the network, past the gate.
   for (int i = 0; i < kRecords; ++i) {
     s.input().inject(int_rec(i));
   }
@@ -166,9 +168,9 @@ void scenario_deferred_flush(Sim& sim) {
     const auto r = s.output().next();
     expect(r.has_value(), "output ended after " + std::to_string(i) + " of " +
                               std::to_string(kRecords) + " records");
-    expect(x_of(*r) == i, "deferred flush reordered the stream: got " +
-                              std::to_string(x_of(*r)) + " at position " +
-                              std::to_string(i));
+    expect(x_of(*r) == i,
+           "output over the credit bound reordered the stream: got " +
+               std::to_string(x_of(*r)) + " at position " + std::to_string(i));
   }
   expect(!s.output().next().has_value(), "records duplicated past the close");
   net.wait();

@@ -2,7 +2,7 @@
 /// schedule per protocol scenario, replayed on every test run. The
 /// schedcheck sweep explores fresh seeds; these pins make sure the
 /// specific interleavings that exercise the tricky transitions —
-/// a producer stalling mid-batch, a deferred-output flush chain, a
+/// a producer stalling mid-batch, output crossing the credit bound, a
 /// FailFast landing with records still in flight — never silently stop
 /// being covered (a schedule drifting to triviality shows up as a step-
 /// count collapse, a protocol regression as the violation itself).

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -349,62 +350,233 @@ TEST(Session, SlowReaderDoesNotHeadOfLineBlockOtherSessions) {
   // whose bounded output buffer filled used to stall the *shared* output
   // entity, head-of-line blocking every other session's results until the
   // slow client consumed. With per-session output credit the slow
-  // reader's surplus records defer on its own (entity, session) credit
-  // key and its injects block on its own account — nobody else notices.
+  // reader's injects block on its own account, and its records already in
+  // flight are buffered in its own session — nobody else notices.
+  // Two legs: the slow client finally drains with next(), or it installs
+  // an on_output sink over its full account, whose buffer flush must hand
+  // over every record once, in order.
+  for (const bool sink_leg : {false, true}) {
+    SCOPED_TRACE(sink_leg ? "on_output leg" : "next() leg");
+    Options o;
+    o.workers = 2;
+    o.inbox_capacity = 8;
+    o.output_capacity = 4;
+    // Every record fans out to 8: a single slow-session inject overwhelms
+    // its own credit account (cap 4), so surplus records *must* arrive
+    // over the bound at the shared output entity — the deterministic
+    // head-of-line setup the old design answered by stalling that entity
+    // for everyone.
+    auto fan = box("fan", "(x) -> (x)", [](const BoxInput& in, BoxOutput& out) {
+      for (int k = 0; k < 8; ++k) {
+        out.out(1, in.field("x"));
+      }
+    });
+    Network net(fan, std::move(o));
+    Session slow = net.open_session();
+    Session fast = net.open_session();
+    // The slow session's feeder outruns a client that reads nothing: its
+    // account fills mid-fan-out and the feeder blocks on the credit gate.
+    std::jthread slow_feeder([&] {
+      for (int i = 0; i < 40; ++i) {
+        slow.input().inject(int_rec(i));
+      }
+      slow.close();
+    });
+    ASSERT_TRUE(poll_session(net, slow.id(), [](const SessionStats& s) {
+      return s.output_stalls > 0;
+    })) << "slow session's surplus records never arrived over its bound";
+    // The fast session must stream through, full rate, while slow is wedged.
+    std::jthread fast_feeder([&] {
+      for (int i = 0; i < 50; ++i) {
+        fast.input().inject(int_rec(1000 + i));
+      }
+      fast.close();
+    });
+    std::size_t got_fast = 0;
+    while (fast.output().next().has_value()) {
+      ++got_fast;
+    }
+    EXPECT_EQ(got_fast, 400U);  // old design: wedged right here
+    // Now the slow client finally reads: every record arrives, in
+    // per-session order.
+    std::vector<int> got_slow;
+    if (!sink_leg) {
+      while (auto r = slow.output().next()) {
+        got_slow.push_back(value_as<int>(r->field("x")));
+      }
+      slow_feeder.join();
+    } else {
+      // The flush runs here; later records reach the sink from a worker,
+      // serialised, and all of them before the session's last live record
+      // retires — so once the network quiesces, got_slow is complete.
+      slow.output().on_output([&got_slow](Record r) {
+        got_slow.push_back(value_as<int>(r.field("x")));
+      });
+      slow_feeder.join();
+      fast_feeder.join();
+      net.wait();
+    }
+    ASSERT_EQ(got_slow.size(), 320U);
+    for (std::size_t i = 0; i < got_slow.size(); ++i) {
+      EXPECT_EQ(got_slow[i], static_cast<int>(i / 8))
+          << "deferral reordered the slow session's stream";
+    }
+    const SessionStats slow_row = stats_of(net, slow.id());
+    EXPECT_GT(slow_row.output_stalls, 0U);
+    net.wait();
+  }
+}
+
+/// Weighted DRR shares: three sessions with weights 1:2:4 keep their
+/// staging queues full against a slow box, so the input dispatcher is the
+/// only arbiter of entry bandwidth. Over a window of 32 DRR rounds the
+/// records it forwards must follow the weights (±20%). The box sleeps
+/// rather than spins, so the feeder threads get a core to refill staging
+/// on a loaded host. Two inbox bounds: 32 is smaller than the weight-4
+/// session's turn (quantum 16 × 4), so its staging queue must be sized to
+/// the turn or it runs dry mid-turn; 128 makes the per-poke record
+/// budget, not the queue, cut turns short.
+class SessionDrr : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SessionDrr, ForwardedSharesFollowTheWeights) {
   Options o;
   o.workers = 2;
-  o.inbox_capacity = 8;
-  o.output_capacity = 4;
-  // Every record fans out to 8: a single slow-session inject overwhelms
-  // its own credit account (cap 4), so surplus records *must* defer at
-  // the shared output entity — the deterministic head-of-line setup the
-  // old design answered by stalling that entity for everyone.
-  auto fan = box("fan", "(x) -> (x)", [](const BoxInput& in, BoxOutput& out) {
-    for (int k = 0; k < 8; ++k) {
-      out.out(1, in.field("x"));
-    }
+  o.quantum = 16;
+  o.inbox_capacity = GetParam();
+  auto nap = box("nap", "(x) -> (x)", [](const BoxInput& in, BoxOutput& out) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    out.out(1, in.field("x"));
   });
-  Network net(fan, std::move(o));
-  Session slow = net.open_session();
-  Session fast = net.open_session();
-  // The slow session's feeder outruns a client that reads nothing: its
-  // account fills mid-fan-out and the feeder blocks on the credit gate.
-  std::jthread slow_feeder([&] {
-    for (int i = 0; i < 40; ++i) {
-      slow.input().inject(int_rec(i));
+  Network net(nap, std::move(o));
+  constexpr unsigned kWeights[] = {1, 2, 4};
+  constexpr std::uint64_t kRound = 16 * (1 + 2 + 4);
+  std::vector<Session> sessions;
+  for (const unsigned w : kWeights) {
+    SessionOptions so;
+    so.weight = w;
+    sessions.push_back(net.open_session(so));
+  }
+  const auto forwarded = [&] {
+    std::vector<std::uint64_t> f(sessions.size(), 0);
+    for (const auto& row : net.stats().session_stats) {
+      for (std::size_t i = 0; i < sessions.size(); ++i) {
+        if (row.id == sessions[i].id()) {
+          f[i] = row.forwarded;
+        }
+      }
     }
-    slow.close();
-  });
-  ASSERT_TRUE(poll_session(net, slow.id(), [](const SessionStats& s) {
-    return s.output_stalls > 0;
-  })) << "slow session's surplus records never deferred at the output entity";
-  // The fast session must stream through, full rate, while slow is wedged.
-  std::jthread fast_feeder([&] {
-    for (int i = 0; i < 50; ++i) {
-      fast.input().inject(int_rec(1000 + i));
+    return f;
+  };
+  const auto total = [](const std::vector<std::uint64_t>& f) {
+    std::uint64_t t = 0;
+    for (const std::uint64_t n : f) {
+      t += n;
     }
-    fast.close();
-  });
-  std::size_t got_fast = 0;
-  while (fast.output().next().has_value()) {
-    ++got_fast;
+    return t;
+  };
+  // Polls (bounded) until the sessions have forwarded \p n records in all.
+  const auto await_total = [&](std::uint64_t n) {
+    for (int i = 0; i < 20000; ++i) {
+      const std::vector<std::uint64_t> f = forwarded();
+      if (total(f) >= n) {
+        return f;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ADD_FAILURE() << "the dispatcher stopped forwarding";
+    return forwarded();
+  };
+  std::atomic<bool> stop{false};
+  std::vector<std::jthread> feeders;
+  for (Session& s : sessions) {
+    feeders.emplace_back([&s, &stop] {
+      for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
+        s.input().inject(int_rec(i));  // blocks while staging is full
+      }
+      s.close();
+    });
   }
-  EXPECT_EQ(got_fast, 400U);  // old design: wedged right here
-  // Now the slow client finally reads: every record arrives, in
-  // per-session order, through the deferred-flush path.
-  std::vector<int> got_slow;
-  while (auto r = slow.output().next()) {
-    got_slow.push_back(value_as<int>(r->field("x")));
+  // Measure past a warm-up, so every feeder is running and the first
+  // records (which may bypass staging) are out of the window.
+  const std::vector<std::uint64_t> before = await_total(4 * kRound);
+  const std::vector<std::uint64_t> after = await_total(total(before) + 32 * kRound);
+  stop.store(true, std::memory_order_release);
+  feeders.clear();  // joins
+  const double unit = static_cast<double>(after[0] - before[0]);
+  ASSERT_GT(unit, 0.0) << "the weight-1 session was never served";
+  for (std::size_t i = 1; i < sessions.size(); ++i) {
+    const double share = static_cast<double>(after[i] - before[i]) / unit;
+    const double want = kWeights[i];
+    EXPECT_NEAR(share, want, 0.2 * want)
+        << "weight-" << kWeights[i] << " session got " << share
+        << "x the weight-1 session's forwarded records (inbox_capacity "
+        << GetParam() << ")";
   }
-  slow_feeder.join();
-  ASSERT_EQ(got_slow.size(), 320U);
-  for (std::size_t i = 0; i < got_slow.size(); ++i) {
-    EXPECT_EQ(got_slow[i], static_cast<int>(i / 8))
-        << "deferral reordered the slow session's stream";
-  }
-  const SessionStats slow_row = stats_of(net, slow.id());
-  EXPECT_GT(slow_row.output_stalls, 0U);
   net.wait();
+}
+
+INSTANTIATE_TEST_SUITE_P(InboxCapacity, SessionDrr, ::testing::Values(32U, 128U));
+
+/// A box on the shared executor drives a nested network through its ports:
+/// on a worker thread every port wait (staging credit, next()) must run
+/// queued tasks through help_until instead of blocking the pool slot.
+/// The inner network has inbox_capacity 1, output_capacity 1 and quantum
+/// 1 (a one-record staging queue), so the waits happen for real. Its box
+/// keeps one record in kBatch, the last of each batch: the output account
+/// stays below its bound while a batch is injected, and the outer box pops
+/// the kept record before it injects the next batch.
+TEST(Session, BoxDrivesANestedNetworkThroughItsPorts) {
+  constexpr int kBatch = 4;
+  constexpr int kBatches = 8;
+  auto keep_last =
+      box("keep", "(x) -> (x)", [](const BoxInput& in, BoxOutput& out) {
+        if (in.get<int>("x") % kBatch == kBatch - 1) {
+          out.out(1, in.field("x"));
+        }
+      });
+  auto nested = box("nested", "(x) -> (x)", [keep_last](const BoxInput& in,
+                                                         BoxOutput& out) {
+    Options io;
+    io.workers = 2;
+    io.quantum = 1;
+    io.inbox_capacity = 1;
+    io.output_capacity = 1;
+    Network inner(keep_last, std::move(io));
+    Session s = inner.open_session();
+    int sum = 0;
+    for (int b = 0; b < kBatches; ++b) {
+      for (int k = 0; k < kBatch; ++k) {
+        s.input().inject(int_rec(b * kBatch + k));
+      }
+      const auto r = s.output().next();
+      if (!r) {
+        throw std::runtime_error("inner session ended early");
+      }
+      sum += value_as<int>(r->field("x"));
+    }
+    s.close();
+    if (s.output().next().has_value()) {
+      throw std::runtime_error("inner session emitted past its input");
+    }
+    inner.wait();
+    out.out(1, make_value(in.get<int>("x") + sum));
+  });
+  int want_sum = 0;
+  for (int b = 0; b < kBatches; ++b) {
+    want_sum += b * kBatch + kBatch - 1;
+  }
+  Network outer(nested, workers(2));
+  constexpr int kRecords = 6;
+  for (int i = 0; i < kRecords; ++i) {
+    outer.input().inject(int_rec(1000 * i));
+  }
+  outer.input().close();
+  std::multiset<int> want;
+  for (int i = 0; i < kRecords; ++i) {
+    want.insert(1000 * i + want_sum);
+  }
+  EXPECT_EQ(xs_of(outer.output().collect()), want);
+  outer.wait();
 }
 
 TEST(Session, WeightedDispatchKeepsMeekSessionProgressingUnderFlood) {
