@@ -4,11 +4,11 @@
 /// NetworkStats::peak_live — tracks the injected count; with an inbox
 /// bound B it must stay O(B × entities), at comparable throughput.
 ///
-/// Emits BENCH_backpressure.json (mode, bound, peak_live, records/sec,
-/// suspensions, peak_ratio) and *enforces* the PR acceptance bar when
-/// both modes ran: bounded peak_live ≤ bound × entities × 2 (inbox +
-/// quantum overshoot), unbounded peak_live ≥ 10× the bounded one, and
-/// bounded throughput within 15% of unbounded (non-zero exit otherwise).
+/// *Enforces* the acceptance bars once both modes ran: bounded peak_live
+/// ≤ entities × (B + quantum) + B (inbox + quantum overshoot, plus the
+/// output buffer), unbounded peak_live ≥ 10× the bounded one, bounded
+/// throughput within 15% of unbounded, and no record lost (non-zero exit
+/// otherwise).
 
 #include <chrono>
 #include <cstdio>
@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "snet/network.hpp"
 #include "snet/value.hpp"
 
@@ -126,26 +125,6 @@ int main() {
   const double throughput_ratio =
       bounded.records_per_sec / unbounded.records_per_sec;
 
-  std::vector<benchjson::Row> rows;
-  for (const auto* r : {&unbounded, &bounded}) {
-    benchjson::Row row;
-    row.set("bench", std::string("fastprod_backpressure"))
-        .set("mode", std::string(r == &unbounded ? "unbounded" : "bounded"))
-        .set("bound", static_cast<std::int64_t>(r == &unbounded ? 0 : kBound))
-        .set("records", static_cast<std::int64_t>(kRecords))
-        .set("records_per_sec", r->records_per_sec)
-        .set("peak_live", r->peak_live)
-        .set("suspensions", static_cast<std::int64_t>(r->suspensions))
-        .set("entities", static_cast<std::int64_t>(r->entities));
-    rows.push_back(std::move(row));
-  }
-  benchjson::Row summary;
-  summary.set("bench", std::string("fastprod_backpressure_summary"))
-      .set("peak_ratio_unbounded_vs_bounded", peak_ratio)
-      .set("throughput_bounded_vs_unbounded", throughput_ratio);
-  rows.push_back(std::move(summary));
-  benchjson::write("backpressure", rows);
-
   std::printf("unbounded: peak_live=%lld  %.0f records/sec\n",
               static_cast<long long>(unbounded.peak_live),
               unbounded.records_per_sec);
@@ -156,7 +135,6 @@ int main() {
               static_cast<unsigned long long>(bounded.suspensions));
   std::printf("peak ratio %.1fx, bounded throughput %.0f%% of unbounded\n",
               peak_ratio, 100.0 * throughput_ratio);
-  std::printf("wrote BENCH_backpressure.json\n");
 
   // Acceptance bars (see ISSUE 3). The peak bound allows inbox + one
   // quantum of overshoot per entity plus the bounded output buffer.

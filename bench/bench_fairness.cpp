@@ -6,9 +6,7 @@
 /// fast session (the PR-3 known limitation); now it must only throttle
 /// itself.
 ///
-/// Emits BENCH_fairness.json (per-mode fast throughput, the
-/// fairness_fast_vs_solo ratio gated by tools/bench_diff.py) and
-/// *enforces* the acceptance bars:
+/// *Enforces* the acceptance bars:
 ///   * fast sessions' aggregate throughput with the stalled peer >= 80%
 ///     of their throughput without it, and
 ///   * the slow session never wedges the network: once its client reads,
@@ -24,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "snet/network.hpp"
 #include "snet/value.hpp"
 
@@ -210,24 +207,6 @@ int main() {
   const double ratio =
       contended.fast_records_per_sec / solo.fast_records_per_sec;
 
-  std::vector<benchjson::Row> rows;
-  for (const auto* r : {&solo, &contended}) {
-    benchjson::Row row;
-    row.set("bench", std::string("session_fairness"))
-        .set("mode", std::string(r == &solo ? "solo" : "contended"))
-        .set("fast_sessions", static_cast<std::int64_t>(kFastSessions))
-        .set("records", static_cast<std::int64_t>(kFastRecords))
-        .set("bound", static_cast<std::int64_t>(kBound))
-        .set("records_per_sec", r->fast_records_per_sec)
-        .set("slow_received", static_cast<std::int64_t>(r->slow_received));
-    rows.push_back(std::move(row));
-  }
-  benchjson::Row summary;
-  summary.set("bench", std::string("session_fairness_summary"))
-      .set("fairness_fast_vs_solo", ratio);
-  rows.push_back(std::move(summary));
-  benchjson::write("fairness", rows);
-
   std::printf("solo:      %d fast sessions  %.0f records/sec aggregate\n",
               kFastSessions, solo.fast_records_per_sec);
   std::printf("contended: + stalled slow peer  %.0f records/sec aggregate, "
@@ -237,7 +216,6 @@ int main() {
               kSlowRecords);
   std::printf("fast throughput with stalled peer: %.0f%% of solo\n",
               100.0 * ratio);
-  std::printf("wrote BENCH_fairness.json\n");
 
   int rc = 0;
   if (!solo.ok || !contended.ok) {

@@ -137,7 +137,7 @@ struct Options {
   /// per-network spill file (see snet/wire.hpp) and restore them on
   /// release, so an over-cap region's interior leaves memory instead of
   /// merely being throttled. False keeps the overflow in memory — the
-  /// throttle-only baseline the spill bench/test compares against.
+  /// throttle-only baseline the spill test compares against.
   /// Records whose field payloads have no registered wire codec stay in
   /// memory either way (ordering is preserved across the mix).
   bool spill_to_disk = true;

@@ -23,7 +23,7 @@
 ///  * `WireWriter`/`WireReader` — streaming append + incremental decode,
 ///    plus random-access *group* frames (a keyed batch of records that can
 ///    be read back independently after a scan);
-///  * the snapshot/replay harness (`tools/snetrec`, bench_json.hpp) —
+///  * the snapshot/replay harness (`tools/snetrec`) —
 ///    record an InputPort stream during any run, replay it byte-identically;
 ///  * `SpillStore` — the disk half of `OverflowPolicy::Spill`: det
 ///    collectors and synchrocells serialize overflow records and restore

@@ -48,8 +48,7 @@ int options_at(const OptsArray& opts, int i, int j);
 /// Extension (not in the paper): constraint propagation by naked singles —
 /// repeatedly places every free cell that has exactly one remaining option
 /// until a fixpoint. Pure deduction: never guesses, preserves the solution
-/// set. Used by the `propagate` box for the ablation study in
-/// bench_ablation.
+/// set. Used by the `propagate` box of `fig2_propagated_net`.
 std::pair<BoardArray, OptsArray> propagate_singles(BoardArray board, OptsArray opts);
 
 }  // namespace sudoku

@@ -199,13 +199,18 @@ TEST(Nets, FourByFourAcrossAllThreeNetworks) {
 
 TEST(Nets, GeneratedPuzzlesSolveIdenticallyAcrossNetworks) {
   // Property sweep: every network agrees with the sequential solver on
-  // generated unique-solution puzzles.
+  // generated unique-solution puzzles. The fourth net is Fig. 2 with the
+  // deterministic split and star, the only sudoku-sized run of the det
+  // combinators.
+  const snet::Net fig2_det =
+      compute_opts_box() >> snet::filter("{} -> {<k>=1}") >>
+      snet::star_det(snet::split_det(solve_one_level_k_box(), "k"), "{<done>}");
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const auto puzzle =
         generate(GenOptions{.n = 3, .clues = 34, .seed = seed, .ensure_unique = true});
     const auto seq = solve_board(puzzle);
     ASSERT_TRUE(seq.completed);
-    for (const auto& net : {fig1_net(), fig2_net(), fig3_net()}) {
+    for (const auto& net : {fig1_net(), fig2_net(), fig3_net(), fig2_det}) {
       const auto sol = solve_with_net(net, puzzle, workers(2));
       ASSERT_TRUE(sol.has_value()) << "seed " << seed;
       EXPECT_EQ(*sol, seq.board) << "seed " << seed;
