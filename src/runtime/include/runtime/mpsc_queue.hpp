@@ -41,8 +41,6 @@ class MpscQueue {
   struct PushResult {
     bool was_empty = false;  // the consumer may need waking
     bool congested = false;  // the producer should back off
-    /// Compatibility with the historical `bool push` (was-empty) contract.
-    explicit operator bool() const { return was_empty; }
   };
 
   MpscQueue() = default;

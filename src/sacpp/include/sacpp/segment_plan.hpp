@@ -86,13 +86,101 @@ inline std::string index_to_string(const SpecIndex& iv) {
 }
 
 /// Body-less view of one with-loop generator (bounds + striding only); the
-/// typed layer keeps bodies/kernels parallel to this by ordinal.
+/// typed layer keeps bodies parallel to this by ordinal.
 struct GeneratorSpec {
   SpecIndex lb;
   SpecIndex ub;  // exclusive
   SpecIndex step;   // empty = dense
   SpecIndex width;  // empty = 1
 };
+
+/// Exact member-cell count of \p g: per axis, the positions in [lb, ub)
+/// whose offset from lb falls in the first `width` of every `step`.
+/// Striding must be validated first (the count divides by step).
+inline std::int64_t member_count(const GeneratorSpec& g) {
+  std::int64_t n = 1;
+  for (std::size_t a = 0; a < g.lb.size(); ++a) {
+    const std::int64_t extent = g.ub[a] - g.lb[a];
+    if (extent <= 0) {
+      return 0;
+    }
+    if (!g.step.empty()) {
+      const std::int64_t st = g.step[a];
+      const std::int64_t wd = g.width.empty() ? 1 : g.width[a];
+      n *= extent / st * wd + std::min(extent % st, wd);
+    } else {
+      n *= extent;
+    }
+  }
+  return n;
+}
+
+/// Outer-axis scratch up to this rank lives on the stack; deeper ranks
+/// spill to the heap.
+inline constexpr std::size_t kMaxStackRank = 8;
+
+/// The striding odometer: calls `run(pre, col_lo, col_hi)` for every
+/// contiguous last-axis run of generator \p g, in row-major order. `pre`
+/// holds the rank-1 outer-axis components during each call (raw stack
+/// storage, so small loops stay allocation-free); a rank-0 generator is the
+/// single run [0, 1). Striding must be validated first.
+template <class RunFn>
+void walk_runs(const GeneratorSpec& g, const RunFn& run) {
+  const std::size_t rank = g.lb.size();
+  std::int64_t pre_buf[kMaxStackRank] = {};
+  std::vector<std::int64_t> deep;
+  std::int64_t* pre = pre_buf;
+  if (rank == 0) {
+    run(static_cast<const std::int64_t*>(pre), std::int64_t{0}, std::int64_t{1});
+    return;
+  }
+  const std::size_t last = rank - 1;
+  if (last > kMaxStackRank) {
+    deep.resize(last);
+    pre = deep.data();
+  }
+  const std::int64_t lb_l = g.lb[last];
+  const std::int64_t ub_l = g.ub[last];
+  const std::int64_t st_l = g.step.empty() ? 0 : g.step[last];
+  const std::int64_t wd_l = g.width.empty() ? 1 : (st_l ? g.width[last] : 1);
+  for (std::size_t a = 0; a < last; ++a) {
+    pre[a] = g.lb[a];
+  }
+  while (true) {
+    if (st_l == 0) {
+      run(static_cast<const std::int64_t*>(pre), lb_l, ub_l);
+    } else {
+      for (std::int64_t s = lb_l; s < ub_l; s += st_l) {
+        run(static_cast<const std::int64_t*>(pre), s, std::min(s + wd_l, ub_l));
+      }
+    }
+    // Advance the outer-axis odometer (axis last-1 fastest), honouring
+    // striding by jumping past non-member positions.
+    if (last == 0) {
+      return;  // rank 1: a single outer combination
+    }
+    std::size_t a = last;
+    while (true) {
+      --a;
+      std::int64_t& p = pre[a];
+      ++p;
+      if (!g.step.empty()) {
+        const std::int64_t st = g.step[a];
+        const std::int64_t wd = g.width.empty() ? 1 : g.width[a];
+        if ((p - g.lb[a]) % st >= wd) {
+          p = g.lb[a] + ((p - g.lb[a]) / st + 1) * st;
+        }
+      }
+      if (p < g.ub[a]) {
+        break;
+      }
+      p = g.lb[a];
+      if (a == 0) {
+        return;
+      }
+    }
+  }
+}
 
 /// One contiguous run of result cells, all sharing a row prefix.
 struct Segment {
@@ -137,13 +225,11 @@ class SegmentPlan {
   /// Rank-1 row-prefix components of a generator segment (outer-axis index
   /// values; the last axis varies over [col_lo, col_hi)).
   const std::int64_t* prefix_at(std::int64_t offset) const {
-    return prefix_pool_.data() + offset;
+    return prefix_pool_.empty() ? nullptr : prefix_pool_.data() + offset;
   }
-  int prefix_rank() const { return prefix_rank_; }
 
   /// Exact member-cell count of generator \p g (pre-trim), computed once at
-  /// decomposition — replaces the repeated element_estimate() calls of the
-  /// interpreted path.
+  /// decomposition.
   std::int64_t generator_elements(std::size_t g) const { return gen_elements_[g]; }
 
   /// Total cells the plan writes (post-trim, including complement if built).
@@ -151,14 +237,13 @@ class SegmentPlan {
 
  private:
   void decompose_generator(std::int32_t ordinal, const GeneratorSpec& g,
-                           const Shape& shape,
+                           const std::vector<std::int64_t>& strides,
                            std::vector<Segment>& out);
 
   std::vector<Segment> segments_;
   std::vector<std::int64_t> prefix_pool_;
   std::vector<std::int64_t> gen_elements_;
   std::int64_t total_elements_ = 0;
-  int prefix_rank_ = 0;
 };
 
 }  // namespace sac

@@ -23,12 +23,13 @@
 /// location [3] ... is set to 2 rather than to 1").
 ///
 /// The engine is *compiled*: the unit of execution is the contiguous row
-/// segment. Generators are decomposed at entry into a SegmentPlan (overlap
-/// resolved at setup, so no cell is written twice); each segment runs as a
-/// plain countable loop over raw storage — `std::fill` for constant bodies,
-/// the typed kernel for `gen_kernel` generators, a tight index-reusing loop
-/// for `std::function` bodies. Executor chunking distributes segment
-/// ranges. The tests compare it against an interpreted per-element engine
+/// run that `walk_runs` (segment_plan.hpp) yields. Small with-loops walk
+/// the runs in generator order; larger ones are decomposed into a
+/// SegmentPlan (overlap resolved at setup, so no cell is written twice)
+/// whose segment ranges executor chunking distributes. Every run is
+/// evaluated by `eval_run` — `std::fill` for constant bodies, a tight
+/// index-reusing loop for `std::function` bodies. The tests compare the
+/// engine against an interpreted per-element one
 /// (tests/with_loop_reference.hpp), which reaches the generator list
 /// through the `testing::ReferenceEngine` friend hook below.
 ///
@@ -120,6 +121,54 @@ void run_over_segments(const SegmentPlan& plan, const Context& ctx, const Fn& fn
                                         ctx.threads);
 }
 
+/// The parallel fold: `fold_range(seg_lo, seg_hi, part)` folds the plan's
+/// segments [seg_lo, seg_hi) into `part`. Sequentially that is one call
+/// continuing \p acc; in parallel the segments are cut into ranges of >=
+/// grain cells, each range folds its own partial from \p neutral (at most
+/// `ctx.threads` chunks run at once), and the partials are combined into
+/// \p acc in segment (= index) order.
+template <class R, class Combine, class FoldRange>
+R fold_over_segments(const SegmentPlan& plan, const Context& ctx, R acc,
+                     const R& neutral, const Combine& combine,
+                     const FoldRange& fold_range) {
+  const auto& segs = plan.segments();
+  const auto n = static_cast<std::int64_t>(segs.size());
+  if (ctx.threads <= 1 || n <= 1 || plan.total_elements() < ctx.grain) {
+    return fold_range(0, n, std::move(acc));
+  }
+  std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+  std::int64_t start = 0;
+  std::int64_t cells = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    cells += segs[static_cast<std::size_t>(i)].count();
+    if (cells >= ctx.grain) {
+      ranges.emplace_back(start, i + 1);
+      start = i + 1;
+      cells = 0;
+    }
+  }
+  if (start < n) {
+    ranges.emplace_back(start, n);
+  }
+  // Partials live in the storage type: std::vector<bool>'s packed bits
+  // must not be written concurrently from different chunks.
+  std::vector<storage_t<R>> partials(ranges.size(), static_cast<storage_t<R>>(neutral));
+  snetsac::runtime::parallel_for_chunks(
+      sac_pool(), 0, static_cast<std::int64_t>(ranges.size()), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t c = lo; c < hi; ++c) {
+          const auto& [rlo, rhi] = ranges[static_cast<std::size_t>(c)];
+          partials[static_cast<std::size_t>(c)] =
+              static_cast<storage_t<R>>(fold_range(rlo, rhi, neutral));
+        }
+      },
+      ctx.threads);
+  for (const auto& p : partials) {
+    acc = combine(acc, static_cast<R>(p));
+  }
+  return acc;
+}
+
 }  // namespace detail
 
 template <class T, class Post = detail::IdentityStage>
@@ -130,15 +179,6 @@ class With {
  public:
   using Body = std::function<T(const Index&)>;
   using storage = detail::storage_t<T>;
-  /// Typed segment kernel: writes `out[base + (j - col_lo)]` for every j in
-  /// `[col_lo, col_hi)`, where the cell's index vector is `row_prefix` (the
-  /// rank-1 outer components) extended with j. `out` points at the result's
-  /// raw row-major storage; the inner loop is a plain countable loop the
-  /// compiler can auto-vectorise. One indirect call per *segment*, not per
-  /// element.
-  using Kernel = std::function<void(storage* out, std::int64_t base,
-                                    const Index& row_prefix, std::int64_t col_lo,
-                                    std::int64_t col_hi)>;
 
   /// Generator `lb <= iv < ub` with body expression \p body.
   With& gen(SpecIndex lb, SpecIndex ub, Body body) {
@@ -182,80 +222,6 @@ class With {
       c += 1;
     }
     return gen_val(std::move(lb), std::move(ub), std::move(value));
-  }
-
-  /// Typed-kernel generator. \p f is either
-  ///  * a raw segment kernel `(storage* out, int64 base, const Index&
-  ///    row_prefix, int64 col_lo, int64 col_hi)`, or
-  ///  * a coordinate body `T f(i)`, `T f(i, j)` or `T f(i, j, k)` whose
-  ///    arity must equal the result rank — wrapped into a segment kernel
-  ///    whose inner loop inlines \p f (no per-element indirect call, no
-  ///    index vectors).
-  /// A per-element `Body` view of \p f is synthesised alongside, for the
-  /// interpreted test oracle.
-  template <class F>
-  With& gen_kernel(SpecIndex lb, SpecIndex ub, F f) {
-    check_bounds_rank(lb, ub);
-    Generator& g = gens_.emplace_back();
-    g.spec.lb = std::move(lb);
-    g.spec.ub = std::move(ub);
-    if constexpr (std::is_invocable_v<F, storage*, std::int64_t, const Index&,
-                                      std::int64_t, std::int64_t>) {
-      g.kernel = Kernel(f);
-      g.coord_arity = kRawKernel;
-      g.body = [f](const Index& iv) -> T {
-        storage tmp{};
-        if (iv.empty()) {
-          const Index pre;
-          f(&tmp, 0, pre, 0, 1);
-        } else {
-          const Index pre(iv.begin(), iv.end() - 1);
-          f(&tmp, 0, pre, iv.back(), iv.back() + 1);
-        }
-        return static_cast<T>(tmp);
-      };
-    } else if constexpr (std::is_invocable_v<F, std::int64_t>) {
-      g.coord_arity = 1;
-      g.kernel = [f](storage* out, std::int64_t base, const Index&,
-                     std::int64_t lo, std::int64_t hi) {
-        storage* p = out + base;
-        for (std::int64_t j = lo; j < hi; ++j) {
-          p[j - lo] = static_cast<storage>(f(j));
-        }
-      };
-      g.body = [f](const Index& iv) { return static_cast<T>(f(iv[0])); };
-    } else if constexpr (std::is_invocable_v<F, std::int64_t, std::int64_t>) {
-      g.coord_arity = 2;
-      g.kernel = [f](storage* out, std::int64_t base, const Index& pre,
-                     std::int64_t lo, std::int64_t hi) {
-        const std::int64_t i = pre[0];
-        storage* p = out + base;
-        for (std::int64_t j = lo; j < hi; ++j) {
-          p[j - lo] = static_cast<storage>(f(i, j));
-        }
-      };
-      g.body = [f](const Index& iv) { return static_cast<T>(f(iv[0], iv[1])); };
-    } else if constexpr (std::is_invocable_v<F, std::int64_t, std::int64_t,
-                                             std::int64_t>) {
-      g.coord_arity = 3;
-      g.kernel = [f](storage* out, std::int64_t base, const Index& pre,
-                     std::int64_t lo, std::int64_t hi) {
-        const std::int64_t i = pre[0];
-        const std::int64_t jj = pre[1];
-        storage* p = out + base;
-        for (std::int64_t k = lo; k < hi; ++k) {
-          p[k - lo] = static_cast<storage>(f(i, jj, k));
-        }
-      };
-      g.body = [f](const Index& iv) {
-        return static_cast<T>(f(iv[0], iv[1], iv[2]));
-      };
-    } else {
-      static_assert(std::is_invocable_v<F, std::int64_t>,
-                    "gen_kernel: expected a segment kernel or a coordinate "
-                    "body of arity 1..3");
-    }
-    return *this;
   }
 
   /// SaC striding on the most recently added generator: of every `step`
@@ -306,7 +272,7 @@ class With {
     T acc = neutral;
     for (const auto& g : gens_) {
       validate_striding(g.spec);  // before any member-count division by step
-      const std::int64_t est = element_estimate(g.spec);
+      const std::int64_t est = member_count(g.spec);
       validate_rank_only(g, est);
       if (est == 0) {
         continue;
@@ -321,15 +287,11 @@ class With {
   friend class Fused;
   friend struct testing::ReferenceEngine;
 
-  static constexpr int kRawKernel = -2;
-
   struct Generator {
     GeneratorSpec spec;
-    Body body;        // per-element body; for gen_kernel, the oracle's view
-    Kernel kernel;    // optional typed segment kernel
+    Body body;  // unset for constant (gen_val) generators
     bool is_const = false;
     T const_val{};
-    int coord_arity = -1;  // 1..3 for coordinate kernels, kRawKernel, or -1
   };
 
   static void check_bounds_rank(const SpecIndex& lb, const SpecIndex& ub) {
@@ -346,29 +308,6 @@ class With {
     return gens_.back();
   }
 
-  static std::int64_t axis_count(const GeneratorSpec& g, std::size_t axis) {
-    const std::int64_t extent = g.ub[axis] - g.lb[axis];
-    if (extent <= 0) {
-      return 0;
-    }
-    if (g.step.empty()) {
-      return extent;
-    }
-    const std::int64_t st = g.step[axis];
-    const std::int64_t wd = g.width.empty() ? 1 : g.width[axis];
-    const std::int64_t full = extent / st;
-    const std::int64_t rem = extent % st;
-    return full * wd + std::min(rem, wd);
-  }
-
-  static std::int64_t element_estimate(const GeneratorSpec& g) {
-    std::int64_t n = 1;
-    for (std::size_t a = 0; a < g.lb.size(); ++a) {
-      n *= axis_count(g, a);
-    }
-    return n;
-  }
-
   /// \p est is the generator's member count, computed once by the caller
   /// (or taken from the plan) — bounds of empty generators are irrelevant.
   void validate_against(const Generator& g, const Shape& target,
@@ -376,12 +315,6 @@ class With {
     if (static_cast<int>(g.spec.lb.size()) != target.rank()) {
       throw ShapeError("generator of rank " + std::to_string(g.spec.lb.size()) +
                        " does not match result shape " + target.to_string());
-    }
-    if (g.coord_arity > 0 && g.coord_arity != target.rank()) {
-      throw ShapeError("coordinate kernel of arity " +
-                       std::to_string(g.coord_arity) +
-                       " does not match result rank " +
-                       std::to_string(target.rank()));
     }
     validate_striding(g.spec);
     if (est == 0) {
@@ -460,69 +393,50 @@ class With {
     }
   }
 
-  /// Calls run(pre, col_lo, col_hi) for every contiguous last-axis run of
-  /// generator \p g, in row-major order; \p pre (caller-provided rank-1
-  /// scratch, raw so small loops stay allocation-free) holds the outer-axis
-  /// components during each call. This is the small-loop twin of
-  /// SegmentPlan::decompose_generator: same runs, no stored plan.
-  template <class RunFn>
-  static void walk_runs(const GeneratorSpec& g, std::int64_t* pre,
-                        const RunFn& run) {
-    const std::size_t rank = g.lb.size();
-    if (rank == 0) {
-      run(pre, 0, 1);
+  /// The generator evaluator, visit form: hands `visit(t, value)` the value
+  /// of every cell of generator \p g's last-axis run [lo, hi), t = j - lo,
+  /// where the cell's outer-axis components are \p pre (rank-1 of them).
+  /// \p iv is the caller's index scratch; it is sized — the only
+  /// allocation — on the first body evaluation, never for gen_val.
+  template <class Visit>
+  static void eval_run(const Generator& g, const std::int64_t* pre,
+                       std::int64_t lo, std::int64_t hi, Index& iv,
+                       const Visit& visit) {
+    if (g.is_const) {
+      for (std::int64_t t = 0; t < hi - lo; ++t) {
+        visit(t, g.const_val);
+      }
       return;
     }
-    const std::size_t last = rank - 1;
-    const std::int64_t lb_l = g.lb[last];
-    const std::int64_t ub_l = g.ub[last];
-    const std::int64_t st_l = g.step.empty() ? 0 : g.step[last];
-    const std::int64_t wd_l = g.width.empty() ? 1 : (st_l ? g.width[last] : 1);
-    for (std::size_t a = 0; a < last; ++a) {
-      pre[a] = g.lb[a];
+    const std::size_t rank = g.spec.lb.size();
+    if (iv.size() != rank) {
+      iv.assign(rank, 0);
     }
-    while (true) {
-      if (st_l == 0) {
-        run(pre, lb_l, ub_l);
-      } else {
-        for (std::int64_t s = lb_l; s < ub_l; s += st_l) {
-          run(pre, s, std::min(s + wd_l, ub_l));
-        }
-      }
-      // Advance the outer-axis odometer (axis last-1 fastest), honouring
-      // striding by jumping past non-member positions.
-      if (last == 0) {
-        return;  // rank 1: a single outer combination
-      }
-      std::size_t a = last;
-      while (true) {
-        --a;
-        std::int64_t& p = pre[a];
-        ++p;
-        if (!g.step.empty()) {
-          const std::int64_t st = g.step[a];
-          const std::int64_t wd = g.width.empty() ? 1 : g.width[a];
-          if ((p - g.lb[a]) % st >= wd) {
-            p = g.lb[a] + ((p - g.lb[a]) / st + 1) * st;
-          }
-        }
-        if (p < g.ub[a]) {
-          break;
-        }
-        p = g.lb[a];
-        if (a == 0) {
-          return;
-        }
-      }
+    if (rank == 0) {
+      visit(std::int64_t{0}, g.body(iv));
+      return;
+    }
+    for (std::size_t a = 0; a + 1 < rank; ++a) {
+      iv[a] = pre[a];
+    }
+    for (std::int64_t j = lo; j < hi; ++j) {
+      iv[rank - 1] = j;
+      visit(j - lo, g.body(iv));
     }
   }
 
-  /// Sequential segment execution without a SegmentPlan: generators run in
-  /// order (later overwrites earlier — the overlap rule needs no setup-time
-  /// resolution when execution is ordered), each as fills/kernels/tight
-  /// body loops over its runs. This keeps tiny with-loops — sudoku's
-  /// addNumber touches ~3N cells per call — free of plan-building cost.
-  static constexpr int kMaxStackRank = 8;
+  /// The generator evaluator, store form: writes the run's cells to
+  /// `out[0, hi - lo)` (`std::fill` for constant generators).
+  static void store_run(const Generator& g, const std::int64_t* pre,
+                        std::int64_t lo, std::int64_t hi, Index& iv,
+                        storage* out) {
+    if (g.is_const) {
+      std::fill(out, out + (hi - lo), static_cast<storage>(g.const_val));
+      return;
+    }
+    eval_run(g, pre, lo, hi, iv,
+             [out](std::int64_t t, const T& v) { out[t] = static_cast<storage>(v); });
+  }
 
   /// Dense (unstrided) constant generator, written as nested strided
   /// stores over a *compacted* axis list: extent-1 axes are dropped (they
@@ -620,32 +534,30 @@ class With {
     }
   }
 
+  /// Sequential execution without a SegmentPlan: generators run in order
+  /// (later overwrites earlier — the overlap rule needs no setup-time
+  /// resolution when execution is ordered), each over its walked runs. This
+  /// keeps tiny with-loops — sudoku's addNumber touches ~3N cells per call
+  /// — free of plan-building cost, and pure gen_val loops allocation-free.
   void apply_seq(Array<T>& result, const Shape& shp,
-                          const std::int64_t* ests) const {
-    const int rank = shp.rank();
+                 const std::int64_t* ests) const {
+    const auto rank = static_cast<std::size_t>(shp.rank());
     storage* out = nullptr;  // detach lazily: empty loops must not COW
     std::int64_t strides_buf[kMaxStackRank];
-    std::int64_t pre_buf[kMaxStackRank];
     std::vector<std::int64_t> deep;  // spill only for rank > kMaxStackRank
     std::int64_t* strides = strides_buf;
-    std::int64_t* pre = pre_buf;
     if (rank > kMaxStackRank) {
-      deep.resize(2 * static_cast<std::size_t>(rank));
+      deep.resize(rank);
       strides = deep.data();
-      pre = deep.data() + rank;
     }
     if (rank > 0) {
       strides[rank - 1] = 1;
-      for (int a = rank - 2; a >= 0; --a) {
-        strides[a] = strides[a + 1] * shp.extent(a + 1);
+      for (std::size_t a = rank - 1; a-- > 0;) {
+        strides[a] = strides[a + 1] * shp.extent(static_cast<int>(a + 1));
       }
     }
-    // Index-vector scratch, needed (and allocated) only when some generator
-    // evaluates through a kernel or a Body; pure gen_val loops — sudoku's
-    // addNumber — run with zero allocations.
-    Index pre_ix;
+    const std::size_t outer = rank > 0 ? rank - 1 : 0;
     Index iv;
-    const std::size_t last = rank > 0 ? static_cast<std::size_t>(rank - 1) : 0;
     for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
       if (ests[gi] == 0) {
         continue;
@@ -654,58 +566,26 @@ class With {
       if (out == nullptr) {
         out = result.mutable_data().data();
       }
-      if (rank == 0) {
-        const Index empty;
-        if (g.is_const) {
-          out[0] = static_cast<storage>(g.const_val);
-        } else if (g.kernel) {
-          g.kernel(out, 0, empty, 0, 1);
-        } else {
-          out[0] = static_cast<storage>(g.body(empty));
-        }
-        continue;
-      }
       if (g.is_const && g.spec.step.empty()) {
         fill_dense(g.spec, out, strides, static_cast<storage>(g.const_val));
         continue;
       }
-      if (!g.is_const) {
-        if (g.kernel && pre_ix.size() != last) {
-          pre_ix.assign(last, 0);
-        } else if (!g.kernel && iv.size() != static_cast<std::size_t>(rank)) {
-          iv.assign(static_cast<std::size_t>(rank), 0);
+      walk_runs(g.spec, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
+        std::int64_t base = lo;
+        for (std::size_t a = 0; a < outer; ++a) {
+          base += pre[a] * strides[a];
         }
-      }
-      walk_runs(g.spec, pre,
-                [&](const std::int64_t* p, std::int64_t lo, std::int64_t hi) {
-                  std::int64_t base = lo;
-                  for (std::size_t a = 0; a < last; ++a) {
-                    base += p[a] * strides[a];
-                  }
-                  if (g.is_const) {
-                    std::fill(out + base, out + base + (hi - lo),
-                              static_cast<storage>(g.const_val));
-                  } else if (g.kernel) {
-                    std::copy(p, p + last, pre_ix.begin());
-                    g.kernel(out, base, pre_ix, lo, hi);
-                  } else {
-                    std::copy(p, p + last, iv.begin());
-                    std::int64_t at = base;
-                    for (std::int64_t j = lo; j < hi; ++j, ++at) {
-                      iv[last] = j;
-                      out[at] = static_cast<storage>(g.body(iv));
-                    }
-                  }
-                });
+        store_run(g, pre, lo, hi, iv, out + base);
+      });
     }
   }
 
   void apply_generators(Array<T>& result, const Context& ctx) const {
     const Shape& shp = result.shape();
     prevalidate(shp);
-    // One element_estimate per generator per apply; doubles as the size trigger for the
-    // plan-free sequential path. Stack storage for the usual few-generator
-    // case — this runs on every with-loop call.
+    // One member count per generator per apply; doubles as the size
+    // trigger for the plan-free sequential path. Stack storage for the
+    // usual few-generator case — this runs on every with-loop call.
     std::int64_t ests_buf[16];
     std::vector<std::int64_t> ests_spill;
     std::int64_t* ests = ests_buf;
@@ -715,7 +595,7 @@ class With {
     }
     std::int64_t total = 0;
     for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
-      ests[gi] = element_estimate(gens_[gi].spec);
+      ests[gi] = member_count(gens_[gi].spec);
       validate_against(gens_[gi], shp, ests[gi]);
       total += ests[gi];
     }
@@ -733,101 +613,27 @@ class With {
     }
     // Detach once, before chunking; every chunk writes disjoint cells.
     storage* out = result.mutable_data().data();
-    const int rank = shp.rank();
-    const auto run = [&](std::int64_t lo, std::int64_t hi) {
-      Index iv(static_cast<std::size_t>(rank), 0);
-      Index pre(rank > 0 ? static_cast<std::size_t>(rank - 1) : 0, 0);
+    detail::run_over_segments(plan, ctx, [&](std::int64_t lo, std::int64_t hi) {
+      Index iv;
       for (std::int64_t si = lo; si < hi; ++si) {
         const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
-        const auto& g = gens_[static_cast<std::size_t>(s.gen)];
-        const std::int64_t len = s.count();
-        if (g.is_const) {
-          std::fill(out + s.base, out + s.base + len,
-                    static_cast<storage>(g.const_val));
-        } else if (g.kernel) {
-          load_prefix(plan, s, pre);
-          g.kernel(out, s.base, pre, s.col_lo, s.col_hi);
-        } else if (rank == 0) {
-          const Index empty;
-          out[s.base] = static_cast<storage>(g.body(empty));
-        } else {
-          load_prefix(plan, s, iv);
-          std::int64_t at = s.base;
-          for (std::int64_t j = s.col_lo; j < s.col_hi; ++j, ++at) {
-            iv[static_cast<std::size_t>(rank - 1)] = j;
-            out[at] = static_cast<storage>(g.body(iv));
-          }
-        }
+        store_run(gens_[static_cast<std::size_t>(s.gen)], plan.prefix_at(s.prefix),
+                  s.col_lo, s.col_hi, iv, out + s.base);
       }
-    };
-    detail::run_over_segments(plan, ctx, run);
-  }
-
-  /// Copies a segment's row prefix into the leading components of \p iv
-  /// (which may be the rank-1 prefix vector itself or a full-rank scratch
-  /// index whose last component the caller varies).
-  static void load_prefix(const SegmentPlan& plan, const Segment& s, Index& iv) {
-    const int pr = plan.prefix_rank();
-    if (pr == 0 || s.prefix < 0) {
-      return;
-    }
-    const std::int64_t* pp = plan.prefix_at(s.prefix);
-    for (int a = 0; a < pr; ++a) {
-      iv[static_cast<std::size_t>(a)] = pp[a];
-    }
+    });
   }
 
   template <class C>
   T fold_generator(const Generator& g, const C& combine, T acc,
                    const T& neutral, const Context& ctx,
                    std::int64_t est) const {
-    const int rank0 = static_cast<int>(g.spec.lb.size());
     if (ctx.threads <= 1 || est < ctx.grain) {
-      // Plan-free sequential fold over the generator's runs; scratch
-      // Index/vector state is allocated only for kernel/body generators.
-      std::int64_t pre_buf[kMaxStackRank];
-      std::vector<std::int64_t> deep;
-      std::int64_t* pre = pre_buf;
-      if (rank0 > kMaxStackRank) {
-        deep.resize(static_cast<std::size_t>(rank0));
-        pre = deep.data();
-      }
-      const std::size_t last =
-          rank0 > 0 ? static_cast<std::size_t>(rank0 - 1) : 0;
-      Index pre_ix;
+      // Plan-free sequential fold over the generator's walked runs.
       Index iv;
-      std::vector<storage> scratch;
-      if (!g.is_const) {
-        if (g.kernel) {
-          pre_ix.assign(last, 0);
-        } else {
-          iv.assign(static_cast<std::size_t>(rank0), 0);
-        }
-      }
-      walk_runs(g.spec, pre,
-                [&](const std::int64_t* p, std::int64_t lo, std::int64_t hi) {
-                  if (g.is_const) {
-                    for (std::int64_t t = lo; t < hi; ++t) {
-                      acc = combine(acc, g.const_val);
-                    }
-                  } else if (g.kernel) {
-                    scratch.resize(static_cast<std::size_t>(hi - lo));
-                    std::copy(p, p + last, pre_ix.begin());
-                    g.kernel(scratch.data(), 0, pre_ix, lo, hi);
-                    for (const storage& v : scratch) {
-                      acc = combine(acc, static_cast<T>(v));
-                    }
-                  } else if (rank0 == 0) {
-                    const Index empty;
-                    acc = combine(acc, g.body(empty));
-                  } else {
-                    std::copy(p, p + last, iv.begin());
-                    for (std::int64_t j = lo; j < hi; ++j) {
-                      iv[last] = j;
-                      acc = combine(acc, g.body(iv));
-                    }
-                  }
-                });
+      walk_runs(g.spec, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
+        eval_run(g, pre, lo, hi, iv,
+                 [&](std::int64_t, const T& v) { acc = combine(acc, v); });
+      });
       return acc;
     }
     // Fold has no result array: decompose against the generator's own
@@ -836,83 +642,17 @@ class With {
                                                    g.spec.ub.end())};
     const SegmentPlan plan({g.spec}, bounding, /*resolve_overlap=*/false,
                            /*with_complement=*/false);
-    const auto& segs = plan.segments();
-    const int rank = static_cast<int>(g.spec.lb.size());
-
-    const auto eval_segment = [&](const Segment& s, T part,
-                                  std::vector<storage>& scratch, Index& iv,
-                                  Index& pre) -> T {
-      const std::int64_t len = s.count();
-      if (g.is_const) {
-        for (std::int64_t t = 0; t < len; ++t) {
-          part = combine(part, g.const_val);
-        }
-      } else if (g.kernel) {
-        scratch.resize(static_cast<std::size_t>(len));
-        load_prefix(plan, s, pre);
-        g.kernel(scratch.data(), 0, pre, s.col_lo, s.col_hi);
-        for (std::int64_t t = 0; t < len; ++t) {
-          part = combine(part, static_cast<T>(scratch[static_cast<std::size_t>(t)]));
-        }
-      } else if (rank == 0) {
-        const Index empty;
-        part = combine(part, g.body(empty));
-      } else {
-        load_prefix(plan, s, iv);
-        for (std::int64_t j = s.col_lo; j < s.col_hi; ++j) {
-          iv[static_cast<std::size_t>(rank - 1)] = j;
-          part = combine(part, g.body(iv));
-        }
-      }
-      return part;
-    };
-
-    if (ctx.threads <= 1 || est < ctx.grain || segs.size() <= 1) {
-      std::vector<storage> scratch;
-      Index iv(static_cast<std::size_t>(rank), 0);
-      Index pre(rank > 0 ? static_cast<std::size_t>(rank - 1) : 0, 0);
-      for (const Segment& s : segs) {
-        acc = eval_segment(s, std::move(acc), scratch, iv, pre);
-      }
-      return acc;
-    }
-    // Parallel fold: segment ranges of >= grain cells, one partial per
-    // range, partials combined in segment (= index) order.
-    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
-    std::int64_t start = 0;
-    std::int64_t cells = 0;
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      cells += segs[i].count();
-      if (cells >= ctx.grain) {
-        ranges.emplace_back(start, static_cast<std::int64_t>(i + 1));
-        start = static_cast<std::int64_t>(i + 1);
-        cells = 0;
-      }
-    }
-    if (start < static_cast<std::int64_t>(segs.size())) {
-      ranges.emplace_back(start, static_cast<std::int64_t>(segs.size()));
-    }
-    // Partials live in the storage type: std::vector<bool>'s packed bits
-    // must not be written concurrently from different chunks.
-    std::vector<storage> partials(ranges.size(), static_cast<storage>(neutral));
-    snetsac::runtime::parallel_for_each(
-        sac_pool(), 0, static_cast<std::int64_t>(ranges.size()), 1,
-        [&](std::int64_t c) {
-          T part = neutral;
-          std::vector<storage> scratch;
-          Index iv(static_cast<std::size_t>(rank), 0);
-          Index pre(rank > 0 ? static_cast<std::size_t>(rank - 1) : 0, 0);
-          const auto& [rlo, rhi] = ranges[static_cast<std::size_t>(c)];
-          for (std::int64_t i = rlo; i < rhi; ++i) {
-            part = eval_segment(segs[static_cast<std::size_t>(i)], std::move(part),
-                                scratch, iv, pre);
+    return detail::fold_over_segments(
+        plan, ctx, std::move(acc), neutral, combine,
+        [&](std::int64_t lo, std::int64_t hi, T part) {
+          Index scratch;
+          for (std::int64_t si = lo; si < hi; ++si) {
+            const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
+            eval_run(g, plan.prefix_at(s.prefix), s.col_lo, s.col_hi, scratch,
+                     [&](std::int64_t, const T& v) { part = combine(part, v); });
           }
-          partials[static_cast<std::size_t>(c)] = static_cast<storage>(part);
+          return part;
         });
-    for (const storage& p : partials) {
-      acc = combine(acc, static_cast<T>(p));
-    }
-    return acc;
   }
 
   std::vector<Generator> gens_;
@@ -1002,7 +742,6 @@ class Fused {
   value_type fold(C combine, value_type neutral,
                   const Context& ctx = default_context()) const {
     using R = value_type;
-    using RS = detail::storage_t<R>;
     const std::int64_t n = shape_.element_count();
     if (n == 0) {
       return neutral;
@@ -1026,49 +765,14 @@ class Fused {
         with_.build_plan(shape_, /*resolve_overlap=*/true, /*with_complement=*/true);
     with_.validate_all(shape_, plan);
     const detail::storage_t<T>* sp = has_src_ ? src_.data().data() : nullptr;
-    const auto& segs = plan.segments();
-
-    if (ctx.threads <= 1 || n < ctx.grain || segs.size() <= 1) {
-      R acc = neutral;
-      run_segments(plan, 0, static_cast<std::int64_t>(segs.size()), sp,
-                   [&](std::int64_t linear, T v) {
-                     acc = combine(acc, post_(v, linear));
-                   });
-      return acc;
-    }
-    // Segment ranges of >= grain cells; one partial per range, combined in
-    // plan order.
-    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
-    std::int64_t start = 0;
-    std::int64_t cells = 0;
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      cells += segs[i].count();
-      if (cells >= ctx.grain) {
-        ranges.emplace_back(start, static_cast<std::int64_t>(i + 1));
-        start = static_cast<std::int64_t>(i + 1);
-        cells = 0;
-      }
-    }
-    if (start < static_cast<std::int64_t>(segs.size())) {
-      ranges.emplace_back(start, static_cast<std::int64_t>(segs.size()));
-    }
-    std::vector<RS> partials(ranges.size(), static_cast<RS>(neutral));
-    snetsac::runtime::parallel_for_each(
-        sac_pool(), 0, static_cast<std::int64_t>(ranges.size()), 1,
-        [&](std::int64_t c) {
-          R part = neutral;
-          const auto& [rlo, rhi] = ranges[static_cast<std::size_t>(c)];
-          run_segments(plan, rlo, rhi, sp,
-                       [&](std::int64_t linear, T v) {
-                         part = combine(part, post_(v, linear));
-                       });
-          partials[static_cast<std::size_t>(c)] = static_cast<RS>(part);
+    return detail::fold_over_segments(
+        plan, ctx, neutral, neutral, combine,
+        [&](std::int64_t lo, std::int64_t hi, R part) {
+          run_segments(plan, lo, hi, sp, [&](std::int64_t linear, T v) {
+            part = combine(part, post_(v, linear));
+          });
+          return part;
         });
-    R acc = neutral;
-    for (const RS& p : partials) {
-      acc = combine(acc, static_cast<R>(p));
-    }
-    return acc;
   }
 
  private:
@@ -1093,49 +797,24 @@ class Fused {
   template <class Emit>
   void run_segments(const SegmentPlan& plan, std::int64_t lo, std::int64_t hi,
                     const detail::storage_t<T>* sp, const Emit& emit) const {
-    using TS = detail::storage_t<T>;
-    const int rank = shape_.rank();
-    Index iv(static_cast<std::size_t>(rank), 0);
-    Index pre(rank > 0 ? static_cast<std::size_t>(rank - 1) : 0, 0);
-    std::vector<TS> scratch;
+    Index iv;
     for (std::int64_t si = lo; si < hi; ++si) {
       const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
-      const std::int64_t len = s.count();
       if (s.gen == SegmentPlan::kComplement) {
         if (sp != nullptr) {
-          for (std::int64_t t = 0; t < len; ++t) {
+          for (std::int64_t t = 0; t < s.count(); ++t) {
             emit(s.base + t, static_cast<T>(sp[s.base + t]));
           }
         } else {
-          for (std::int64_t t = 0; t < len; ++t) {
+          for (std::int64_t t = 0; t < s.count(); ++t) {
             emit(s.base + t, def_);
           }
         }
         continue;
       }
-      const auto& g = with_.gens_[static_cast<std::size_t>(s.gen)];
-      if (g.is_const) {
-        for (std::int64_t t = 0; t < len; ++t) {
-          emit(s.base + t, g.const_val);
-        }
-      } else if (g.kernel) {
-        scratch.resize(static_cast<std::size_t>(len));
-        With<T>::load_prefix(plan, s, pre);
-        g.kernel(scratch.data(), 0, pre, s.col_lo, s.col_hi);
-        for (std::int64_t t = 0; t < len; ++t) {
-          emit(s.base + t, static_cast<T>(scratch[static_cast<std::size_t>(t)]));
-        }
-      } else if (rank == 0) {
-        const Index empty;
-        emit(s.base, g.body(empty));
-      } else {
-        With<T>::load_prefix(plan, s, iv);
-        std::int64_t at = s.base;
-        for (std::int64_t j = s.col_lo; j < s.col_hi; ++j, ++at) {
-          iv[static_cast<std::size_t>(rank - 1)] = j;
-          emit(at, g.body(iv));
-        }
-      }
+      With<T>::eval_run(with_.gens_[static_cast<std::size_t>(s.gen)],
+                        plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv,
+                        [&](std::int64_t t, const T& v) { emit(s.base + t, v); });
     }
   }
 

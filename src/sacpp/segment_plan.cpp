@@ -50,118 +50,48 @@ void subtract_into(std::int64_t lo, std::int64_t hi,
   }
 }
 
-std::int64_t axis_members(const GeneratorSpec& g, std::size_t axis) {
-  const std::int64_t extent = g.ub[axis] - g.lb[axis];
-  if (extent <= 0) {
-    return 0;
-  }
-  if (g.step.empty()) {
-    return extent;
-  }
-  const std::int64_t st = g.step[axis];
-  const std::int64_t wd = g.width.empty() ? 1 : g.width[axis];
-  const std::int64_t full = extent / st;
-  const std::int64_t rem = extent % st;
-  return full * wd + std::min(rem, wd);
-}
-
 }  // namespace
 
 void SegmentPlan::decompose_generator(std::int32_t ordinal, const GeneratorSpec& g,
-                                      const Shape& shape,
+                                      const std::vector<std::int64_t>& strides,
                                       std::vector<Segment>& out) {
-  const int rank = shape.rank();
-  if (rank == 0) {
-    // A rank-0 generator denotes the single empty index vector.
-    out.push_back(Segment{ordinal, 0, 0, 1, static_cast<std::int64_t>(prefix_pool_.size())});
-    return;
-  }
-  const std::vector<std::int64_t> strides = shape.strides();
-  const std::size_t last = static_cast<std::size_t>(rank) - 1;
-  const std::int64_t last_lb = g.lb[last];
-  const std::int64_t last_ub = g.ub[last];
-  const std::int64_t last_st = g.step.empty() ? 0 : g.step[last];
-  const std::int64_t last_wd = g.width.empty() ? 1 : (last_st ? g.width[last] : 1);
-
-  // Emits the last-axis runs for one outer-axis combination.
-  const auto emit_runs = [&](std::int64_t outer_base, std::int64_t prefix_off) {
-    const auto emit = [&](std::int64_t lo, std::int64_t hi) {
-      // Split long runs so executor chunking has grains to distribute.
-      for (std::int64_t s = lo; s < hi; s += kMaxSegmentLen) {
-        const std::int64_t e = std::min(hi, s + kMaxSegmentLen);
-        out.push_back(Segment{ordinal, outer_base + s, s, e, prefix_off});
-      }
-    };
-    if (last_st == 0) {
-      emit(last_lb, last_ub);
-    } else {
-      for (std::int64_t s = last_lb; s < last_ub; s += last_st) {
-        emit(s, std::min(s + last_wd, last_ub));
-      }
+  // The walker yields the runs; the plan pools each outer-axis prefix once
+  // (consecutive runs of a strided last axis share it) and splits long
+  // runs so executor chunking has grains to distribute.
+  const std::size_t outer = g.lb.empty() ? 0 : g.lb.size() - 1;
+  std::int64_t prefix_off = -1;
+  walk_runs(g, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
+    if (prefix_off < 0 ||
+        !std::equal(pre, pre + outer, prefix_pool_.begin() + prefix_off)) {
+      prefix_off = static_cast<std::int64_t>(prefix_pool_.size());
+      prefix_pool_.insert(prefix_pool_.end(), pre, pre + outer);
     }
-  };
-
-  // Odometer over the outer axes' member positions.
-  Index pos(last, 0);
-  for (std::size_t a = 0; a < last; ++a) {
-    pos[a] = g.lb[a];
-  }
-  while (true) {
-    std::int64_t outer_base = 0;
-    for (std::size_t a = 0; a < last; ++a) {
-      outer_base += pos[a] * strides[a];
+    std::int64_t row_base = 0;
+    for (std::size_t a = 0; a < outer; ++a) {
+      row_base += pre[a] * strides[a];
     }
-    const auto prefix_off = static_cast<std::int64_t>(prefix_pool_.size());
-    prefix_pool_.insert(prefix_pool_.end(), pos.begin(), pos.end());
-    emit_runs(outer_base, prefix_off);
-
-    // Advance the odometer (last outer axis fastest), honouring striding.
-    std::size_t a = last;
-    while (a > 0) {
-      --a;
-      std::int64_t& p = pos[a];
-      ++p;
-      if (!g.step.empty()) {
-        const std::int64_t st = g.step[a];
-        const std::int64_t wd = g.width.empty() ? 1 : g.width[a];
-        if ((p - g.lb[a]) % st >= wd) {
-          // Jump to the start of the next width block.
-          p = g.lb[a] + ((p - g.lb[a]) / st + 1) * st;
-        }
-      }
-      if (p < g.ub[a]) {
-        break;
-      }
-      p = g.lb[a];
-      if (a == 0) {
-        return;
-      }
+    for (std::int64_t s = lo; s < hi; s += kMaxSegmentLen) {
+      const std::int64_t e = std::min(hi, s + kMaxSegmentLen);
+      out.push_back(Segment{ordinal, row_base + s, s, e, prefix_off});
     }
-    if (last == 0) {
-      return;  // rank 1: a single outer combination
-    }
-  }
+  });
 }
 
 SegmentPlan::SegmentPlan(const std::vector<GeneratorSpec>& gens, const Shape& shape,
                          bool resolve_overlap, bool with_complement) {
-  prefix_rank_ = shape.rank() > 0 ? shape.rank() - 1 : 0;
   gen_elements_.assign(gens.size(), 0);
+  const std::vector<std::int64_t> strides = shape.strides();
 
   // Per-generator decomposition (skipping empty generators entirely, so
   // out-of-range bounds of empty generators are never linearised).
   std::vector<std::vector<Segment>> per_gen(gens.size());
   for (std::size_t gi = 0; gi < gens.size(); ++gi) {
-    const GeneratorSpec& g = gens[gi];
-    std::int64_t members = 1;
-    for (std::size_t a = 0; a < g.lb.size(); ++a) {
-      members *= axis_members(g, a);
-    }
-    gen_elements_[gi] = members;
-    if (members == 0) {
+    gen_elements_[gi] = member_count(gens[gi]);
+    if (gen_elements_[gi] == 0) {
       continue;
     }
-    decompose_generator(static_cast<std::int32_t>(gi), g, shape, per_gen[gi]);
+    decompose_generator(static_cast<std::int32_t>(gi), gens[gi], strides,
+                        per_gen[gi]);
   }
 
   // Overlap resolution, back to front: `claimed` holds the merged linear

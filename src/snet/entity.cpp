@@ -99,10 +99,6 @@ bool Entity::await_inbox_credit(Entity* producer) {
   return inbox_.wait_for_credit([producer] { producer->resume_from_stall(); });
 }
 
-bool Entity::await_inbox_credit_cb(std::function<void()> cb) {
-  return inbox_.wait_for_credit(std::move(cb));
-}
-
 void Entity::resume_from_stall() {
   // The poke flag makes the resumed quantum start with on_poke(): an
   // entity whose pending work is internal (a det collector's buffered

@@ -88,9 +88,6 @@ class Entity {
   /// entity's inbox drains below the release watermark. Returns false —
   /// without registering — when credit is already available.
   bool await_inbox_credit(Entity* producer);
-  /// Same, with an arbitrary callback (client injection waits on a
-  /// condition variable rather than as an entity).
-  bool await_inbox_credit_cb(std::function<void()> cb);
 
   /// Re-queues an entity parked by the stall protocol; no-op unless the
   /// entity is currently stalled. Called by credit releasers (a drained

@@ -367,6 +367,14 @@ class Network {
   /// Instantiates a (sub)topology whose output feeds \p successor; returns
   /// the entry entity. Thread-safe (star/split call this while running).
   Entity* instantiate(const Net& node, Entity* successor, const std::string& prefix);
+  /// Instantiates a parallel, star or split whose entry entity
+  /// `build(merge_target)` creates. A det combinator is bracketed: the
+  /// collector `<prefix>/<kind>-coll` (feeding \p successor) is the merge
+  /// target, and the entry `<prefix>/<kind>-entry`, which forwards to what
+  /// `build` returns, becomes the combinator's entry.
+  Entity* instantiate_bracketed(const Net& node, Entity* successor,
+                                const std::string& prefix, const char* kind,
+                                const std::function<Entity*(Entity*)>& build);
   /// Registers an entity; returns a stable raw pointer owned by the net.
   Entity* adopt(std::unique_ptr<Entity> entity);
 

@@ -120,8 +120,9 @@ class FlatShapeTable {
 /// Per-shape memo table: one immutable value per record shape, computed
 /// on first sight. The idiom behind every entity route table — filters
 /// and star exits memoize a bool (pattern type match), synchrocells a
-/// slot bitset. Unsynchronised by design: a memo belongs to one entity,
-/// and entities are run by at most one worker at a time.
+/// slot bitset, parallels the tied branch set. Unsynchronised by design: a
+/// memo belongs to one entity, and entities are run by at most one worker
+/// at a time.
 template <class Value>
 class ShapeMemo {
  public:
@@ -129,43 +130,41 @@ class ShapeMemo {
       : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
   /// The memoized value for \p shape, computing it via \p fill on a miss.
-  /// Returns by value: once caching is disabled (sustained shape churn)
-  /// there is no stored entry to reference.
+  /// The reference stays valid until the next get_or; once caching is
+  /// disabled (sustained shape churn) it refers to a scratch copy of the
+  /// freshly filled value.
   ///
   /// Same-shape *runs* — the common case once quanta drain record batches,
   /// where consecutive records of a batch carry the same ShapeId — hit the
   /// inline last-decision cache and skip even the hash lookup: the
   /// decision is taken once per run, not once per record.
   template <class Fill>
-  Value get_or(ShapeId shape, Fill&& fill) {
-    if (has_last_ && shape == last_shape_) {
-      return last_value_;
+  const Value& get_or(ShapeId shape, Fill&& fill) {
+    if (last_ != nullptr && shape == last_shape_) {
+      return *last_;
     }
-    if (disabled_) {
-      return fill();
-    }
-    if (const Value* found = table_.find(shape)) {
-      last_shape_ = shape;
-      last_value_ = *found;
-      has_last_ = true;
-      return last_value_;
+    if (!disabled_) {
+      if (const Value* found = table_.find(shape)) {
+        last_shape_ = shape;
+        last_ = found;
+        return *found;
+      }
     }
     Value v = fill();
-    if (table_.size() >= max_entries_) {
-      if (++resets_ > RouteTableBounds::kMaxResets) {
-        disabled_ = true;
-        table_.clear();
-        has_last_ = false;
-        return v;
-      }
+    if (!disabled_ && table_.size() >= max_entries_) {
+      // Bounded table (see file comment): evict wholesale, and give up on
+      // caching entirely under sustained churn.
       table_.clear();
-      has_last_ = false;
+      last_ = nullptr;
+      disabled_ = ++resets_ > RouteTableBounds::kMaxResets;
     }
-    table_.insert(shape, v);
+    if (disabled_) {
+      scratch_ = std::move(v);
+      return scratch_;
+    }
     last_shape_ = shape;
-    last_value_ = v;
-    has_last_ = true;
-    return v;
+    last_ = table_.insert(shape, std::move(v));
+    return *last_;
   }
 
   std::size_t size() const { return table_.size(); }
@@ -177,12 +176,13 @@ class ShapeMemo {
   std::size_t max_entries_;
   unsigned resets_ = 0;
   bool disabled_ = false;
-  /// Inline run cache: the last shape seen and its value. Invalidated on
-  /// every table eviction (the value is a copy, but keeping the fast path
-  /// coherent with the table keeps reasoning simple).
+  Value scratch_{};  // the returned value while caching is disabled
+  /// Inline run cache: the last shape seen and its table entry. Entries
+  /// stay put until the next insert (possible rehash) or eviction, and the
+  /// cache is refreshed or cleared on both — so the pointer is always into
+  /// live storage.
   ShapeId last_shape_ = 0;
-  Value last_value_{};
-  bool has_last_ = false;
+  const Value* last_ = nullptr;
 };
 
 class ParallelRouter {
@@ -191,30 +191,40 @@ class ParallelRouter {
 
   explicit ParallelRouter(std::vector<MultiType> inputs,
                           std::size_t max_entries = RouteTableBounds::kDefaultMaxEntries)
-      : inputs_(std::move(inputs)), max_entries_(max_entries == 0 ? 1 : max_entries) {}
+      : inputs_(std::move(inputs)), memo_(max_entries) {}
 
   std::size_t branch_count() const { return inputs_.size(); }
 
   /// The branch index \p r routes to, or npos when no branch matches.
   std::size_t route(const Record& r) {
-    const Route& route = decide(r.shape(), r);
-    if (route.tied.empty()) {
+    // A fresh shape scores every branch once into the scratch vector, then
+    // collects the argmax set (the same collection tied_for runs on types).
+    const std::vector<std::uint32_t>& tied = memo_.get_or(r.shape(), [&] {
+      scores_.clear();
+      for (const MultiType& input : inputs_) {
+        scores_.push_back(input.match_score(r));
+      }
+      std::vector<std::uint32_t> set;
+      collect_argmax(scores_, set);
+      return set;
+    });
+    if (tied.empty()) {
       return npos;
     }
-    if (route.tied.size() == 1) {
-      return route.tied.front();
+    if (tied.size() == 1) {
+      return tied.front();
     }
-    return route.tied[tie_break_++ % route.tied.size()];
+    return tied[tie_break_++ % tied.size()];
   }
 
-  std::size_t table_size() const { return table_.size(); }
-  unsigned resets() const { return resets_; }
-  bool caching_disabled() const { return disabled_; }
+  std::size_t table_size() const { return memo_.size(); }
+  unsigned resets() const { return memo_.resets(); }
+  bool caching_disabled() const { return memo_.caching_disabled(); }
 
   /// The argmax set — every branch sharing the best match score — for a
   /// *lower-bound record type* instead of a concrete record. This is the
   /// decision the topology verifier (verify.hpp) replays statically: it
-  /// runs the same argmax collection as `decide`, scoring with the
+  /// runs the same argmax collection as `route`, scoring with the
   /// type-level `MultiType::match_score` overload, so the static tied set
   /// equals the runtime tied set for any record of exactly that type by
   /// construction. Empty result = unroutable (the runtime's npos).
@@ -232,10 +242,6 @@ class ParallelRouter {
   }
 
  private:
-  struct Route {
-    std::vector<std::uint32_t> tied;  // branches sharing the best score
-  };
-
   /// The one argmax-set collection both the runtime decision and the
   /// static `tied_for` run: keep the branches sharing the best
   /// non-negative score (empty when nothing matches).
@@ -255,62 +261,11 @@ class ParallelRouter {
     }
   }
 
-  const Route& decide(ShapeId shape, const Record& r) {
-    // Same-shape run: replay the previous decision without the hash
-    // lookup (the pointer stays valid until the next table eviction,
-    // which clears it). Tie rotation still happens per record in route().
-    if (last_route_ != nullptr && shape == last_shape_) {
-      return *last_route_;
-    }
-    if (!disabled_) {
-      if (const Route* found = table_.find(shape)) {
-        last_shape_ = shape;
-        last_route_ = found;
-        return *found;
-      }
-    }
-    // Fresh shape: score every branch once into the scratch vector, then
-    // collect the argmax set (the same collection tied_for runs on types).
-    scores_.clear();
-    for (const MultiType& input : inputs_) {
-      scores_.push_back(input.match_score(r));
-    }
-    collect_argmax(scores_, scratch_.tied);
-    if (disabled_) {
-      return scratch_;
-    }
-    if (table_.size() >= max_entries_) {
-      // Bounded table (see file comment): evict wholesale, and give up on
-      // caching entirely under sustained churn.
-      if (++resets_ > RouteTableBounds::kMaxResets) {
-        disabled_ = true;
-        table_.clear();
-        last_route_ = nullptr;
-        return scratch_;
-      }
-      table_.clear();
-      last_route_ = nullptr;
-    }
-    // Stored routes stay put until the next insert (possible rehash) or
-    // eviction, and the run cache is refreshed on both — so the cached
-    // pointer is always into live storage.
-    Route* stored = table_.insert(shape, scratch_);
-    last_shape_ = shape;
-    last_route_ = stored;
-    return *stored;
-  }
-
   std::vector<MultiType> inputs_;
-  FlatShapeTable<Route> table_;
+  /// Tied branch set per shape; ties still rotate per record in route().
+  ShapeMemo<std::vector<std::uint32_t>> memo_;
   std::vector<int> scores_;  // scratch, reused across misses
-  Route scratch_;            // decision of record, valid until the next decide
-  std::size_t max_entries_;
-  unsigned resets_ = 0;
-  bool disabled_ = false;
   std::uint64_t tie_break_ = 0;
-  /// Inline run cache (see decide): last shape and its table entry.
-  ShapeId last_shape_ = 0;
-  const Route* last_route_ = nullptr;
 };
 
 }  // namespace snet::detail

@@ -989,8 +989,6 @@ Entity* Network::adopt(std::unique_ptr<Entity> entity) {
 Entity* Network::instantiate(const Net& node, Entity* successor,
                              const std::string& prefix) {
   using detail::BoxEntity;
-  using detail::DetCollectorEntity;
-  using detail::DetEntryEntity;
   using detail::FilterEntity;
   using detail::ParallelEntity;
   using detail::SplitEntity;
@@ -1027,78 +1025,33 @@ Entity* Network::instantiate(const Net& node, Entity* successor,
       }
       return next;
     }
-    case NetNode::Kind::Parallel: {
-      Entity* merge_target = successor;
-      DetEntryEntity* det_entry = nullptr;
-      if (node->det) {
-        auto* coll = static_cast<DetCollectorEntity*>(adopt(
-            std::make_unique<DetCollectorEntity>(*this, prefix + "/par-coll",
-                                                 successor)));
-        merge_target = coll;
-        det_entry = static_cast<DetEntryEntity*>(
-            adopt(std::make_unique<DetEntryEntity>(*this, prefix + "/par-entry",
-                                                   coll->scope())));
-      }
-      // Nested non-deterministic parallels flatten into one N-ary
-      // dispatcher (see parallel_branches), so `A | B | C` costs one
-      // routing decision and one hop instead of a chain of binary ones.
-      // Det parallels keep their own entry/collector bracket and are
-      // instantiated as opaque branches.
-      const std::vector<ParallelBranch> leaves = parallel_branches(node, prefix);
-      std::vector<ParallelEntity::Branch> branches;
-      branches.reserve(leaves.size());
-      for (const ParallelBranch& b : leaves) {
-        branches.push_back(ParallelEntity::Branch{
-            required_input(b.net), instantiate(b.net, merge_target, b.path)});
-      }
-      Entity* dispatcher = adopt(std::make_unique<ParallelEntity>(
-          *this, prefix + "/par", std::move(branches)));
-      if (det_entry != nullptr) {
-        det_entry->set_target(dispatcher);
-        return det_entry;
-      }
-      return dispatcher;
-    }
-    case NetNode::Kind::Star: {
-      Entity* exit_target = successor;
-      DetEntryEntity* det_entry = nullptr;
-      if (node->det) {
-        auto* coll = static_cast<DetCollectorEntity*>(
-            adopt(std::make_unique<DetCollectorEntity>(*this, prefix + "/star-coll",
-                                                       successor)));
-        exit_target = coll;
-        det_entry = static_cast<DetEntryEntity*>(
-            adopt(std::make_unique<DetEntryEntity>(*this, prefix + "/star-entry",
-                                                   coll->scope())));
-      }
-      Entity* stage0 = adopt(std::make_unique<StarStageEntity>(
-          *this, prefix + "/star", node, exit_target, 0));
-      if (det_entry != nullptr) {
-        det_entry->set_target(stage0);
-        return det_entry;
-      }
-      return stage0;
-    }
-    case NetNode::Kind::Split: {
-      Entity* merge_target = successor;
-      DetEntryEntity* det_entry = nullptr;
-      if (node->det) {
-        auto* coll = static_cast<DetCollectorEntity*>(
-            adopt(std::make_unique<DetCollectorEntity>(*this, prefix + "/split-coll",
-                                                       successor)));
-        merge_target = coll;
-        det_entry = static_cast<DetEntryEntity*>(
-            adopt(std::make_unique<DetEntryEntity>(*this, prefix + "/split-entry",
-                                                   coll->scope())));
-      }
-      Entity* dispatcher = adopt(std::make_unique<SplitEntity>(
-          *this, prefix + "/split", node, merge_target));
-      if (det_entry != nullptr) {
-        det_entry->set_target(dispatcher);
-        return det_entry;
-      }
-      return dispatcher;
-    }
+    case NetNode::Kind::Parallel:
+      return instantiate_bracketed(node, successor, prefix, "par", [&](Entity* merge_target) {
+        // Nested non-deterministic parallels flatten into one N-ary
+        // dispatcher (see parallel_branches), so `A | B | C` costs one
+        // routing decision and one hop instead of a chain of binary ones.
+        // Det parallels keep their own entry/collector bracket and are
+        // instantiated as opaque branches.
+        const std::vector<ParallelBranch> leaves = parallel_branches(node, prefix);
+        std::vector<ParallelEntity::Branch> branches;
+        branches.reserve(leaves.size());
+        for (const ParallelBranch& b : leaves) {
+          branches.push_back(ParallelEntity::Branch{
+              required_input(b.net), instantiate(b.net, merge_target, b.path)});
+        }
+        return adopt(std::make_unique<ParallelEntity>(*this, prefix + "/par",
+                                                      std::move(branches)));
+      });
+    case NetNode::Kind::Star:
+      return instantiate_bracketed(node, successor, prefix, "star", [&](Entity* exit_target) {
+        return adopt(std::make_unique<StarStageEntity>(*this, prefix + "/star", node,
+                                                       exit_target, 0));
+      });
+    case NetNode::Kind::Split:
+      return instantiate_bracketed(node, successor, prefix, "split", [&](Entity* merge_target) {
+        return adopt(std::make_unique<SplitEntity>(*this, prefix + "/split", node,
+                                                   merge_target));
+      });
     case NetNode::Kind::Sync: {
       Entity* cell = adopt(
           std::make_unique<SyncEntity>(*this, prefix + "/sync", node, successor));
@@ -1110,6 +1063,22 @@ Entity* Network::instantiate(const Net& node, Entity* successor,
     }
   }
   throw std::logic_error("corrupt topology node");
+}
+
+Entity* Network::instantiate_bracketed(const Net& node, Entity* successor,
+                                       const std::string& prefix, const char* kind,
+                                       const std::function<Entity*(Entity*)>& build) {
+  using detail::DetCollectorEntity;
+  using detail::DetEntryEntity;
+  if (!node->det) {
+    return build(successor);
+  }
+  auto* coll = static_cast<DetCollectorEntity*>(adopt(std::make_unique<DetCollectorEntity>(
+      *this, prefix + "/" + kind + "-coll", successor)));
+  auto* entry = static_cast<DetEntryEntity*>(adopt(std::make_unique<DetEntryEntity>(
+      *this, prefix + "/" + kind + "-entry", coll->scope())));
+  entry->set_target(build(coll));
+  return entry;
 }
 
 }  // namespace snet

@@ -36,8 +36,8 @@ TEST(Executor, ZeroThreadsPromotedToOne) {
 TEST(MpscQueue, FifoOrderSingleProducer) {
   rt::MpscQueue<int> q;
   EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.push(1));   // was empty
-  EXPECT_FALSE(q.push(2));  // was not
+  EXPECT_TRUE(q.push(1).was_empty);
+  EXPECT_FALSE(q.push(2).was_empty);
   EXPECT_EQ(q.size(), 2U);
   EXPECT_EQ(q.try_pop().value(), 1);
   EXPECT_EQ(q.try_pop().value(), 2);

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <random>
+#include <set>
+#include <thread>
 
 #include "sacpp/io.hpp"
 #include "sacpp/ops.hpp"
@@ -43,10 +47,8 @@ TEST(Fusion, LazyGenarrayMapFoldIsOnePassAndCorrect) {
   const std::int64_t R = 64;
   const std::int64_t C = 32;
   const auto chain = With<int>()
-                         .gen_kernel({0, 0}, {R, C},
-                                     [](std::int64_t i, std::int64_t j) {
-                                       return static_cast<int>(i + j);
-                                     })
+                         .gen({0, 0}, {R, C},
+                              [](const Index& iv) { return static_cast<int>(iv[0] + iv[1]); })
                          .lazy_genarray(Shape{R, C}, 0)
                          .map([](int v) { return 2 * v + 1; });
   const auto plus = [](std::int64_t a, std::int64_t b) { return a + b; };
@@ -230,19 +232,34 @@ TEST_P(FusionParallel, ChainResultIndependentOfThreads) {
   const std::int64_t R = 48;
   const std::int64_t C = 31;
   const auto other = sample_array(R, C);
+  // The body records which threads evaluate it and busy-waits a little per
+  // cell, so every pool worker has time to pick up a chunk if more were
+  // issued than ctx.threads allows.
+  std::mutex mu;
+  std::set<std::thread::id> seen;
   const auto chain = With<int>()
-                         .gen_kernel({0, 0}, {R, C},
-                                     [](std::int64_t i, std::int64_t j) {
-                                       return static_cast<int>(i * 131 + j * 17);
-                                     })
+                         .gen({0, 0}, {R, C},
+                              [&](const Index& iv) {
+                                {
+                                  const std::lock_guard<std::mutex> lock(mu);
+                                  seen.insert(std::this_thread::get_id());
+                                }
+                                const auto until = std::chrono::steady_clock::now() +
+                                                   std::chrono::microseconds(20);
+                                while (std::chrono::steady_clock::now() < until) {
+                                }
+                                return static_cast<int>(iv[0] * 131 + iv[1] * 17);
+                              })
                          .lazy_genarray(Shape{R, C}, 0)
                          .zip_with(other, [](int v, int o) { return v ^ o; });
   const auto ref = chain.to_array(kCompiled1);
   EXPECT_EQ(chain.to_array(ctx), ref);
   const auto plus = [](std::int64_t a, std::int64_t b) { return a + b; };
   const auto widen = [](int v) { return static_cast<std::int64_t>(v); };
-  EXPECT_EQ(chain.map(widen).fold(plus, 0, ctx),
-            chain.map(widen).fold(plus, 0, kCompiled1));
+  seen.clear();
+  const std::int64_t par = chain.map(widen).fold(plus, 0, ctx);
+  EXPECT_LE(seen.size(), ctx.threads) << "a parallel fold exceeded ctx.threads";
+  EXPECT_EQ(par, chain.map(widen).fold(plus, 0, kCompiled1));
 }
 
 TEST_P(FusionParallel, BoolChainUnderParallelism) {

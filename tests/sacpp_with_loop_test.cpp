@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
 #include <random>
+#include <set>
+#include <thread>
 
 #include "sacpp/io.hpp"
 #include "sacpp/with_loop.hpp"
@@ -203,6 +207,16 @@ TEST_P(WithLoopParallel, GenarrayResultIndependentOfThreads) {
   Context seq{1, 1};
   const auto ref = With<int>().gen({0, 0}, {R, C}, body).genarray(Shape{R, C}, -1, seq);
   EXPECT_EQ(par, ref);
+
+  // A rank-1 generator longer than SegmentPlan::kMaxSegmentLen: its one
+  // run is split into several segments, which the chunks then share.
+  const std::int64_t L = 2 * sac::SegmentPlan::kMaxSegmentLen + 5;
+  const auto row = With<int>()
+                       .gen({3}, {L}, [](const Index& iv) { return static_cast<int>(iv[0] % 1009); })
+                       .gen_val({L - 7}, {L - 2}, -5);
+  const auto row_ref = Ref::genarray(row, Shape{L}, -1);
+  EXPECT_EQ(row.genarray(Shape{L}, -1, ctx), row_ref);
+  EXPECT_EQ(row.genarray(Shape{L}, -1, seq), row_ref);
 }
 
 TEST_P(WithLoopParallel, OverlappingGeneratorsStayOrderedUnderParallelism) {
@@ -225,6 +239,36 @@ TEST_P(WithLoopParallel, FoldResultIndependentOfThreads) {
                        .fold([](std::int64_t a, std::int64_t b) { return a + b; }, 0,
                              ctx);
   EXPECT_EQ(sum, N * (N - 1) / 2);
+
+  // Rank 1 past SegmentPlan::kMaxSegmentLen: a split run folds in order.
+  const std::int64_t L = 2 * sac::SegmentPlan::kMaxSegmentLen + 5;
+  const auto plus = [](std::int64_t a, std::int64_t b) { return a + b; };
+  const auto row = With<std::int64_t>().gen({1}, {L}, [](const Index& iv) { return iv[0]; });
+  EXPECT_EQ(row.fold(plus, 0, ctx), L * (L - 1) / 2);
+  EXPECT_EQ(row.fold(plus, 0, ctx), Ref::fold(row, plus, 0));
+
+  // A parallel fold runs at most ctx.threads chunks at once, so no more
+  // than that many distinct threads evaluate its body. The busy-wait gives
+  // every pool worker time to pick up a chunk if more were issued.
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  const auto spin_sum =
+      With<std::int64_t>()
+          .gen({0, 0}, {64, 32},
+               [&](const Index& iv) {
+                 {
+                   const std::lock_guard<std::mutex> lock(mu);
+                   seen.insert(std::this_thread::get_id());
+                 }
+                 const auto until =
+                     std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+                 while (std::chrono::steady_clock::now() < until) {
+                 }
+                 return iv[0] + iv[1];
+               })
+          .fold(plus, 0, ctx);
+  EXPECT_EQ(spin_sum, 32 * (63 * 64 / 2) + 64 * (31 * 32 / 2));
+  EXPECT_LE(seen.size(), ctx.threads);
 }
 
 TEST_P(WithLoopParallel, BoolGenarrayUnderParallelism) {
@@ -241,92 +285,6 @@ TEST_P(WithLoopParallel, BoolGenarrayUnderParallelism) {
 INSTANTIATE_TEST_SUITE_P(ThreadSweep, WithLoopParallel,
                          ::testing::Values(1U, 2U, 3U, 4U, 8U));
 
-// ---- Typed kernel API (compiled engine) ---------------------------------
-
-namespace {
-const Context kCompiled1{1, 1024};
-}  // namespace
-
-TEST(WithLoopKernel, CoordinateBodyRank1) {
-  const auto a = With<int>()
-                     .gen_kernel({2}, {9}, [](std::int64_t j) { return static_cast<int>(j * j); })
-                     .genarray(Shape{10}, -1, kCompiled1);
-  const auto r = Ref::genarray(
-      With<int>().gen_kernel({2}, {9}, [](std::int64_t j) { return static_cast<int>(j * j); }),
-      Shape{10}, -1);
-  EXPECT_EQ((a[{0}]), -1);
-  EXPECT_EQ((a[{2}]), 4);
-  EXPECT_EQ((a[{8}]), 64);
-  EXPECT_EQ(a, r) << "compiled and reference kernel paths must agree";
-}
-
-TEST(WithLoopKernel, CoordinateBodyRank2) {
-  const auto w = With<int>().gen_kernel({0, 0}, {7, 5}, [](std::int64_t i, std::int64_t j) {
-    return static_cast<int>(10 * i + j);
-  });
-  const auto a = w.genarray(Shape{7, 5}, -1, kCompiled1);
-  EXPECT_EQ(a, Ref::genarray(w, Shape{7, 5}, -1));
-  EXPECT_EQ((a[{6, 4}]), 64);
-}
-
-TEST(WithLoopKernel, CoordinateBodyRank3) {
-  const auto w = With<int>().gen_kernel(
-      {0, 0, 0}, {3, 4, 5},
-      [](std::int64_t i, std::int64_t j, std::int64_t k) {
-        return static_cast<int>(100 * i + 10 * j + k);
-      });
-  const auto a = w.genarray(Shape{3, 4, 5}, -1, kCompiled1);
-  EXPECT_EQ(a, Ref::genarray(w, Shape{3, 4, 5}, -1));
-  EXPECT_EQ((a[{2, 3, 4}]), 234);
-}
-
-TEST(WithLoopKernel, RawSegmentKernel) {
-  // The full-control form: writes out[base + (j - col_lo)] directly.
-  const auto w = With<int>().gen_kernel(
-      {0, 0}, {6, 8},
-      [](int* out, std::int64_t base, const Index& pre, std::int64_t lo,
-         std::int64_t hi) {
-        int* p = out + base;
-        for (std::int64_t j = lo; j < hi; ++j) {
-          p[j - lo] = static_cast<int>(pre[0] * 100 + j);
-        }
-      });
-  const auto a = w.genarray(Shape{6, 8}, -1, kCompiled1);
-  EXPECT_EQ(a, Ref::genarray(w, Shape{6, 8}, -1));
-  EXPECT_EQ((a[{5, 7}]), 507);
-}
-
-TEST(WithLoopKernel, CoordinateArityMustMatchRank) {
-  EXPECT_THROW(With<int>()
-                   .gen_kernel({0, 0}, {3, 3}, [](std::int64_t j) { return static_cast<int>(j); })
-                   .genarray(Shape{3, 3}, 0, kCompiled1),
-               ShapeError);
-  EXPECT_THROW(Ref::genarray(With<int>().gen_kernel({0}, {3},
-                                                   [](std::int64_t i, std::int64_t j) {
-                                                     return static_cast<int>(i + j);
-                                                   }),
-                             Shape{3}, 0),
-               ShapeError);
-}
-
-TEST(WithLoopKernel, KernelInFold) {
-  const auto w = With<std::int64_t>().gen_kernel(
-      {0, 0}, {100, 50}, [](std::int64_t i, std::int64_t j) { return i + j; });
-  const auto plus = [](std::int64_t a, std::int64_t b) { return a + b; };
-  EXPECT_EQ(w.fold(plus, 0, kCompiled1), Ref::fold(w, plus, 0));
-}
-
-TEST(WithLoopKernel, KernelWithStriding) {
-  const auto w = With<int>()
-                     .gen_kernel({0, 0}, {9, 9},
-                                 [](std::int64_t i, std::int64_t j) {
-                                   return static_cast<int>(i * 9 + j);
-                                 })
-                     .step({2, 3})
-                     .width({1, 2});
-  EXPECT_EQ(w.genarray(Shape{9, 9}, -1, kCompiled1), Ref::genarray(w, Shape{9, 9}, -1));
-}
-
 // ---- Randomized compiled-vs-reference equivalence -----------------------
 //
 // The two engines share nothing but the generator list: the reference engine
@@ -336,6 +294,8 @@ TEST(WithLoopKernel, KernelWithStriding) {
 // striding are the strongest cheap evidence the decomposition is right.
 
 namespace {
+
+const Context kCompiled1{1, 1024};
 
 struct RandomCase {
   With<int> with;

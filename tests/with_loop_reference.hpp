@@ -39,7 +39,7 @@ struct ReferenceEngine {
     T acc = std::move(neutral);
     for (const auto& g : w.gens_) {
       w.validate_striding(g.spec);  // before any member-count division by step
-      const std::int64_t est = With<T>::element_estimate(g.spec);
+      const std::int64_t est = member_count(g.spec);
       w.validate_rank_only(g, est);
       if (est == 0) {
         continue;
@@ -94,7 +94,7 @@ struct ReferenceEngine {
     const Shape& shp = result.shape();
     for (const auto& g : w.gens_) {
       w.validate_striding(g.spec);  // before any member-count division by step
-      const std::int64_t est = With<T>::element_estimate(g.spec);
+      const std::int64_t est = member_count(g.spec);
       w.validate_against(g, shp, est);
       if (est == 0) {
         continue;
