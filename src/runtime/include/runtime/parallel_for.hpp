@@ -32,18 +32,6 @@ void parallel_for_chunks(Executor& exec, std::int64_t begin, std::int64_t end,
                          const std::function<void(std::int64_t, std::int64_t)>& body,
                          unsigned max_tasks = 0);
 
-/// Element-wise convenience wrapper: `body(i)` for every i in [begin, end).
-template <class F>
-void parallel_for_each(Executor& exec, std::int64_t begin, std::int64_t end,
-                       std::int64_t grain, F&& body) {
-  parallel_for_chunks(exec, begin, end, grain,
-                      [&body](std::int64_t lo, std::int64_t hi) {
-                        for (std::int64_t i = lo; i < hi; ++i) {
-                          body(i);
-                        }
-                      });
-}
-
 }  // namespace snetsac::runtime
 
 #endif

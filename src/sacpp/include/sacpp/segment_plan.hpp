@@ -33,52 +33,19 @@
 #include <vector>
 
 #include "sacpp/shape.hpp"
+#include "sacpp/small_vector.hpp"
 
 namespace sac {
 
 /// Small-buffer index vector for generator bounds. With-loop specs are
 /// built afresh at every call site — sudoku's addNumber constructs four
-/// generators per invocation — and heap-allocating a std::vector per bound
-/// made spec construction cost more than executing the loop. Bounds of rank
-/// <= kInline (every array in the paper) live inline; larger ranks spill.
-class SpecIndex {
+/// generators per invocation — so bounds of rank <= 4 (every array in the
+/// paper) live inline; larger ranks spill.
+class SpecIndex : public SmallVector<std::int64_t, 4> {
  public:
-  static constexpr std::size_t kInline = 4;
-
-  SpecIndex() = default;
-  SpecIndex(std::initializer_list<std::int64_t> vals) {
-    assign(vals.begin(), vals.end());
-  }
+  using SmallVector::SmallVector;
   // Implicit on purpose: Index-typed call sites keep working unchanged.
-  SpecIndex(const Index& vals) { assign(vals.begin(), vals.end()); }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  std::int64_t* data() { return size_ <= kInline ? inline_ : spill_.data(); }
-  const std::int64_t* data() const {
-    return size_ <= kInline ? inline_ : spill_.data();
-  }
-  std::int64_t& operator[](std::size_t i) { return data()[i]; }
-  std::int64_t operator[](std::size_t i) const { return data()[i]; }
-  std::int64_t* begin() { return data(); }
-  std::int64_t* end() { return data() + size_; }
-  const std::int64_t* begin() const { return data(); }
-  const std::int64_t* end() const { return data() + size_; }
-
- private:
-  template <class It>
-  void assign(It first, It last) {
-    size_ = static_cast<std::size_t>(std::distance(first, last));
-    if (size_ <= kInline) {
-      std::copy(first, last, inline_);
-    } else {
-      spill_.assign(first, last);
-    }
-  }
-
-  std::int64_t inline_[kInline] = {};
-  std::vector<std::int64_t> spill_;
-  std::size_t size_ = 0;
+  SpecIndex(const Index& vals) : SmallVector(vals.begin(), vals.end()) {}
 };
 
 inline std::string index_to_string(const SpecIndex& iv) {

@@ -38,6 +38,7 @@
 /// producer's segment pass with zero intermediate arrays.
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <type_traits>
@@ -102,49 +103,51 @@ struct ComposedStage {
   }
 };
 
-/// Runs `fn(seg_lo, seg_hi)` over the plan's segment list, sequentially or
-/// chunked over the executor. Segment-range chunking (not axis-0 rows) is
-/// what gives ragged/strided generators an even parallel grain.
+// The two parallel helpers chunk a list of `n` segments holding `total`
+// cells: a plan's segments, or — for a generator-less chain, which has no
+// plan — the root's single cells.
+
+/// Runs `fn(seg_lo, seg_hi)` over segments [0, n), sequentially or chunked
+/// over the executor. Segment-range chunking (not axis-0 rows) is what
+/// gives ragged/strided generators an even parallel grain.
 template <class Fn>
-void run_over_segments(const SegmentPlan& plan, const Context& ctx, const Fn& fn) {
-  const auto n = static_cast<std::int64_t>(plan.segments().size());
+void run_over_segments(std::int64_t n, std::int64_t total, const Context& ctx,
+                       const Fn& fn) {
   if (n == 0) {
     return;
   }
-  if (ctx.threads <= 1 || n <= 1 || plan.total_elements() < ctx.grain) {
+  if (ctx.threads <= 1 || n <= 1 || total < ctx.grain) {
     fn(0, n);
     return;
   }
-  const std::int64_t avg = std::max<std::int64_t>(1, plan.total_elements() / n);
+  const std::int64_t avg = std::max<std::int64_t>(1, total / n);
   const std::int64_t seg_grain = std::max<std::int64_t>(1, ctx.grain / avg);
   snetsac::runtime::parallel_for_chunks(sac_pool(), 0, n, seg_grain, fn,
                                         ctx.threads);
 }
 
-/// The parallel fold: `fold_range(seg_lo, seg_hi, part)` folds the plan's
-/// segments [seg_lo, seg_hi) into `part`. Sequentially that is one call
-/// continuing \p acc; in parallel the segments are cut into ranges of >=
-/// grain cells, each range folds its own partial from \p neutral (at most
-/// `ctx.threads` chunks run at once), and the partials are combined into
-/// \p acc in segment (= index) order.
-template <class R, class Combine, class FoldRange>
-R fold_over_segments(const SegmentPlan& plan, const Context& ctx, R acc,
-                     const R& neutral, const Combine& combine,
-                     const FoldRange& fold_range) {
-  const auto& segs = plan.segments();
-  const auto n = static_cast<std::int64_t>(segs.size());
-  if (ctx.threads <= 1 || n <= 1 || plan.total_elements() < ctx.grain) {
+/// The parallel fold: `fold_range(seg_lo, seg_hi, part)` folds segments
+/// [seg_lo, seg_hi) into `part`; segment i holds `cells(i)` cells.
+/// Sequentially that is one call continuing \p acc; in parallel the
+/// segments are cut into ranges of >= grain cells, each range folds its own
+/// partial from \p neutral (at most `ctx.threads` chunks run at once), and
+/// the partials are combined into \p acc in segment (= index) order.
+template <class R, class Cells, class Combine, class FoldRange>
+R fold_over_segments(std::int64_t n, std::int64_t total, const Cells& cells,
+                     const Context& ctx, R acc, const R& neutral,
+                     const Combine& combine, const FoldRange& fold_range) {
+  if (ctx.threads <= 1 || n <= 1 || total < ctx.grain) {
     return fold_range(0, n, std::move(acc));
   }
   std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
   std::int64_t start = 0;
-  std::int64_t cells = 0;
+  std::int64_t in_range = 0;
   for (std::int64_t i = 0; i < n; ++i) {
-    cells += segs[static_cast<std::size_t>(i)].count();
-    if (cells >= ctx.grain) {
+    in_range += cells(i);
+    if (in_range >= ctx.grain) {
       ranges.emplace_back(start, i + 1);
       start = i + 1;
-      cells = 0;
+      in_range = 0;
     }
   }
   if (start < n) {
@@ -169,6 +172,54 @@ R fold_over_segments(const SegmentPlan& plan, const Context& ctx, R acc,
   return acc;
 }
 
+/// Segment cell counts of \p plan, for fold_over_segments.
+inline auto plan_cells(const SegmentPlan& plan) {
+  return [&plan](std::int64_t i) {
+    return plan.segments()[static_cast<std::size_t>(i)].count();
+  };
+}
+
+/// A body index from the calling thread's LIFO pool of reusable scratch
+/// buffers. A with-loop evaluates its generators through one of these
+/// instead of a fresh `Index`, so once a thread has warmed its pool,
+/// evaluation allocates nothing (the buffer keeps its capacity between
+/// calls). Reentrant by stack discipline: a body that runs a with-loop
+/// (`is_stuck`'s runs `options_at`'s), or a join that helps run other
+/// chunks on the same thread, takes the next buffer and returns it before
+/// the outer one is returned. Entity suspensions are state transitions,
+/// not stack switches, so acquire and release always nest.
+class ScratchIndex {
+ public:
+  ScratchIndex() : pool_(thread_pool()), iv_(pool_.acquire()) {}
+  ~ScratchIndex() { pool_.release(); }
+  ScratchIndex(const ScratchIndex&) = delete;
+  ScratchIndex& operator=(const ScratchIndex&) = delete;
+
+  Index& get() { return iv_; }
+
+ private:
+  struct Pool {
+    std::deque<Index> buffers;  // growing a deque never moves a buffer in use
+    std::size_t depth = 0;
+
+    Index& acquire() {
+      if (depth == buffers.size()) {
+        buffers.emplace_back();
+      }
+      return buffers[depth++];
+    }
+    void release() { --depth; }
+  };
+
+  static Pool& thread_pool() {
+    thread_local Pool pool;
+    return pool;
+  }
+
+  Pool& pool_;
+  Index& iv_;
+};
+
 }  // namespace detail
 
 template <class T, class Post = detail::IdentityStage>
@@ -183,9 +234,6 @@ class With {
   /// Generator `lb <= iv < ub` with body expression \p body.
   With& gen(SpecIndex lb, SpecIndex ub, Body body) {
     check_bounds_rank(lb, ub);
-    if (gens_.capacity() == 0) {
-      gens_.reserve(4);  // the common case (cf. addNumber) in one allocation
-    }
     Generator& g = gens_.emplace_back();
     g.spec.lb = std::move(lb);
     g.spec.ub = std::move(ub);
@@ -207,9 +255,6 @@ class With {
   /// all, so building one costs two Index moves and nothing else.
   With& gen_val(SpecIndex lb, SpecIndex ub, T value) {
     check_bounds_rank(lb, ub);
-    if (gens_.capacity() == 0) {
-      gens_.reserve(4);
-    }
     Generator& g = gens_.emplace_back();
     g.spec.lb = std::move(lb);
     g.spec.ub = std::move(ub);
@@ -396,8 +441,8 @@ class With {
   /// The generator evaluator, visit form: hands `visit(t, value)` the value
   /// of every cell of generator \p g's last-axis run [lo, hi), t = j - lo,
   /// where the cell's outer-axis components are \p pre (rank-1 of them).
-  /// \p iv is the caller's index scratch; it is sized — the only
-  /// allocation — on the first body evaluation, never for gen_val.
+  /// \p iv is the caller's index scratch (a ScratchIndex buffer), sized to
+  /// the generator's rank on the first body evaluation, never for gen_val.
   template <class Visit>
   static void eval_run(const Generator& g, const std::int64_t* pre,
                        std::int64_t lo, std::int64_t hi, Index& iv,
@@ -557,7 +602,7 @@ class With {
       }
     }
     const std::size_t outer = rank > 0 ? rank - 1 : 0;
-    Index iv;
+    detail::ScratchIndex iv;
     for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
       if (ests[gi] == 0) {
         continue;
@@ -575,7 +620,7 @@ class With {
         for (std::size_t a = 0; a < outer; ++a) {
           base += pre[a] * strides[a];
         }
-        store_run(g, pre, lo, hi, iv, out + base);
+        store_run(g, pre, lo, hi, iv.get(), out + base);
       });
     }
   }
@@ -613,12 +658,14 @@ class With {
     }
     // Detach once, before chunking; every chunk writes disjoint cells.
     storage* out = result.mutable_data().data();
-    detail::run_over_segments(plan, ctx, [&](std::int64_t lo, std::int64_t hi) {
-      Index iv;
+    const auto n = static_cast<std::int64_t>(plan.segments().size());
+    detail::run_over_segments(n, plan.total_elements(), ctx,
+                              [&](std::int64_t lo, std::int64_t hi) {
+      detail::ScratchIndex iv;
       for (std::int64_t si = lo; si < hi; ++si) {
         const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
         store_run(gens_[static_cast<std::size_t>(s.gen)], plan.prefix_at(s.prefix),
-                  s.col_lo, s.col_hi, iv, out + s.base);
+                  s.col_lo, s.col_hi, iv.get(), out + s.base);
       }
     });
   }
@@ -629,9 +676,9 @@ class With {
                    std::int64_t est) const {
     if (ctx.threads <= 1 || est < ctx.grain) {
       // Plan-free sequential fold over the generator's walked runs.
-      Index iv;
+      detail::ScratchIndex iv;
       walk_runs(g.spec, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
-        eval_run(g, pre, lo, hi, iv,
+        eval_run(g, pre, lo, hi, iv.get(),
                  [&](std::int64_t, const T& v) { acc = combine(acc, v); });
       });
       return acc;
@@ -643,19 +690,21 @@ class With {
     const SegmentPlan plan({g.spec}, bounding, /*resolve_overlap=*/false,
                            /*with_complement=*/false);
     return detail::fold_over_segments(
-        plan, ctx, std::move(acc), neutral, combine,
+        static_cast<std::int64_t>(plan.segments().size()), plan.total_elements(),
+        detail::plan_cells(plan), ctx, std::move(acc), neutral, combine,
         [&](std::int64_t lo, std::int64_t hi, T part) {
-          Index scratch;
+          detail::ScratchIndex iv;
           for (std::int64_t si = lo; si < hi; ++si) {
             const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
-            eval_run(g, plan.prefix_at(s.prefix), s.col_lo, s.col_hi, scratch,
+            eval_run(g, plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv.get(),
                      [&](std::int64_t, const T& v) { part = combine(part, v); });
           }
           return part;
         });
   }
 
-  std::vector<Generator> gens_;
+  /// Inline up to addNumber's four generators; more spill to the heap.
+  SmallVector<Generator, 4> gens_;
 };
 
 /// Fused with-loop chain: a lazy with-loop (or plain array) with a stack of
@@ -704,35 +753,26 @@ class Fused {
     if (n == 0) {
       return out;
     }
+    RS* op = out.mutable_data().data();
+    const detail::storage_t<T>* sp = has_src_ ? src_.data().data() : nullptr;
+    const auto store = [&](std::int64_t linear, T v) {
+      op[linear] = static_cast<RS>(post_(v, linear));
+    };
     if (with_.gens_.empty()) {
-      // Generator-less chain (lazy(a).map(...) and friends): one plain pass
-      // over the root storage, no plan.
-      RS* op = out.mutable_data().data();
-      if (has_src_) {
-        const detail::storage_t<T>* sp = src_.data().data();
-        for (std::int64_t i = 0; i < n; ++i) {
-          op[i] = static_cast<RS>(post_(static_cast<T>(sp[i]), i));
-        }
-      } else {
-        for (std::int64_t i = 0; i < n; ++i) {
-          op[i] = static_cast<RS>(post_(def_, i));
-        }
-      }
+      // Generator-less chain (lazy(a).map(...) and friends): no plan; the
+      // root's cells are the segments.
+      detail::run_over_segments(n, n, ctx, [&](std::int64_t lo, std::int64_t hi) {
+        run_cells(lo, hi, sp, store);
+      });
       return out;
     }
     with_.prevalidate(shape_);
     const SegmentPlan plan =
         with_.build_plan(shape_, /*resolve_overlap=*/true, /*with_complement=*/true);
     with_.validate_all(shape_, plan);
-    RS* op = out.mutable_data().data();
-    const detail::storage_t<T>* sp = has_src_ ? src_.data().data() : nullptr;
-    const auto run = [&](std::int64_t lo, std::int64_t hi) {
-      run_segments(plan, lo, hi, sp,
-                   [&](std::int64_t linear, T v) {
-                     op[linear] = static_cast<RS>(post_(v, linear));
-                   });
-    };
-    detail::run_over_segments(plan, ctx, run);
+    detail::run_over_segments(
+        static_cast<std::int64_t>(plan.segments().size()), plan.total_elements(), ctx,
+        [&](std::int64_t lo, std::int64_t hi) { run_segments(plan, lo, hi, sp, store); });
     return out;
   }
 
@@ -746,27 +786,23 @@ class Fused {
     if (n == 0) {
       return neutral;
     }
+    const detail::storage_t<T>* sp = has_src_ ? src_.data().data() : nullptr;
     if (with_.gens_.empty()) {
-      R acc = neutral;
-      if (has_src_) {
-        const detail::storage_t<T>* sp = src_.data().data();
-        for (std::int64_t i = 0; i < n; ++i) {
-          acc = combine(acc, post_(static_cast<T>(sp[i]), i));
-        }
-      } else {
-        for (std::int64_t i = 0; i < n; ++i) {
-          acc = combine(acc, post_(def_, i));
-        }
-      }
-      return acc;
+      return detail::fold_over_segments(
+          n, n, [](std::int64_t) { return std::int64_t{1}; }, ctx, neutral, neutral,
+          combine, [&](std::int64_t lo, std::int64_t hi, R part) {
+            run_cells(lo, hi, sp,
+                      [&](std::int64_t i, T v) { part = combine(part, post_(v, i)); });
+            return part;
+          });
     }
     with_.prevalidate(shape_);
     const SegmentPlan plan =
         with_.build_plan(shape_, /*resolve_overlap=*/true, /*with_complement=*/true);
     with_.validate_all(shape_, plan);
-    const detail::storage_t<T>* sp = has_src_ ? src_.data().data() : nullptr;
     return detail::fold_over_segments(
-        plan, ctx, neutral, neutral, combine,
+        static_cast<std::int64_t>(plan.segments().size()), plan.total_elements(),
+        detail::plan_cells(plan), ctx, neutral, neutral, combine,
         [&](std::int64_t lo, std::int64_t hi, R part) {
           run_segments(plan, lo, hi, sp, [&](std::int64_t linear, T v) {
             part = combine(part, post_(v, linear));
@@ -797,24 +833,32 @@ class Fused {
   template <class Emit>
   void run_segments(const SegmentPlan& plan, std::int64_t lo, std::int64_t hi,
                     const detail::storage_t<T>* sp, const Emit& emit) const {
-    Index iv;
+    detail::ScratchIndex iv;
     for (std::int64_t si = lo; si < hi; ++si) {
       const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
       if (s.gen == SegmentPlan::kComplement) {
-        if (sp != nullptr) {
-          for (std::int64_t t = 0; t < s.count(); ++t) {
-            emit(s.base + t, static_cast<T>(sp[s.base + t]));
-          }
-        } else {
-          for (std::int64_t t = 0; t < s.count(); ++t) {
-            emit(s.base + t, def_);
-          }
-        }
+        run_cells(s.base, s.base + s.count(), sp, emit);
         continue;
       }
       With<T>::eval_run(with_.gens_[static_cast<std::size_t>(s.gen)],
-                        plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv,
+                        plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv.get(),
                         [&](std::int64_t t, const T& v) { emit(s.base + t, v); });
+    }
+  }
+
+  /// Emits the root value of cells [lo, hi) covered by no generator: the
+  /// source's cell when \p sp is set, else the default.
+  template <class Emit>
+  void run_cells(std::int64_t lo, std::int64_t hi, const detail::storage_t<T>* sp,
+                 const Emit& emit) const {
+    if (sp != nullptr) {
+      for (std::int64_t i = lo; i < hi; ++i) {
+        emit(i, static_cast<T>(sp[i]));
+      }
+    } else {
+      for (std::int64_t i = lo; i < hi; ++i) {
+        emit(i, def_);
+      }
     }
   }
 

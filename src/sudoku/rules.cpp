@@ -125,13 +125,15 @@ std::optional<std::pair<int, int>> find_min_trues(const BoardArray& board,
   const std::int64_t N = board_size(board);
   // SaC-style: materialise the per-cell option counts with a
   // genarray-with-loop (filled cells get a sentinel), then locate the
-  // minimum.
+  // minimum. The body captures only the two arrays, which keeps it inside
+  // std::function's inline buffer.
   const sac::Array<int> counts =
       sac::With<int>()
           .gen({0, 0}, {N, N},
-               [&](const sac::Index& iv) {
+               [&board, &opts](const sac::Index& iv) {
                  if (board[iv] != 0) {
-                   return static_cast<int>(N) + 1;  // sentinel: not free
+                   // sentinel: not free
+                   return static_cast<int>(board.shape().extent(0)) + 1;
                  }
                  return options_at(opts, static_cast<int>(iv[0]),
                                    static_cast<int>(iv[1]));

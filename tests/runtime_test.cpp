@@ -84,8 +84,10 @@ TEST(MpscQueue, DrainIntoBatchesInFifoOrder) {
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   rt::Executor exec(3);
   std::vector<std::atomic<int>> hits(1000);
-  rt::parallel_for_each(exec, 0, 1000, 10, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
+  rt::parallel_for_chunks(exec, 0, 1000, 10, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    }
   });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
@@ -98,8 +100,10 @@ TEST(ParallelFor, EmptyAndSingleElementRanges) {
   rt::parallel_for_chunks(exec, 5, 5, 1, [&](std::int64_t, std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   std::atomic<int> sum{0};
-  rt::parallel_for_each(exec, 41, 42, 1, [&](std::int64_t i) {
-    sum.fetch_add(static_cast<int>(i));
+  rt::parallel_for_chunks(exec, 41, 42, 1, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      sum.fetch_add(static_cast<int>(i));
+    }
   });
   EXPECT_EQ(sum.load(), 41);
 }
@@ -119,12 +123,14 @@ TEST(ParallelFor, RespectsGrainAsSequentialFallback) {
 TEST(ParallelFor, PropagatesFirstException) {
   rt::Executor exec(2);
   EXPECT_THROW(
-      rt::parallel_for_each(exec, 0, 100, 1,
-                            [&](std::int64_t i) {
-                              if (i == 37) {
-                                throw std::runtime_error("boom");
-                              }
-                            }),
+      rt::parallel_for_chunks(exec, 0, 100, 1,
+                              [&](std::int64_t lo, std::int64_t hi) {
+                                for (std::int64_t i = lo; i < hi; ++i) {
+                                  if (i == 37) {
+                                    throw std::runtime_error("boom");
+                                  }
+                                }
+                              }),
       std::runtime_error);
 }
 
@@ -152,8 +158,11 @@ TEST_P(ParallelForSweep, SumMatchesSequential) {
   const auto [workers, grain] = GetParam();
   rt::Executor exec(workers);
   std::atomic<std::int64_t> sum{0};
-  rt::parallel_for_each(exec, 0, 10'000, grain,
-                        [&](std::int64_t i) { sum.fetch_add(i); });
+  rt::parallel_for_chunks(exec, 0, 10'000, grain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      sum.fetch_add(i);
+    }
+  });
   EXPECT_EQ(sum.load(), 10'000LL * 9'999 / 2);
 }
 

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <random>
 #include <set>
@@ -276,3 +277,43 @@ TEST_P(FusionParallel, BoolChainUnderParallelism) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadSweep, FusionParallel,
                          ::testing::Values(1U, 2U, 4U, 8U));
+
+TEST(FusionParallel, GeneratorlessChainHonoursContext) {
+  // sac::map is a generator-less chain (lazy(a).map(f)) run at the default
+  // context: above the grain it must split over the pool like any other
+  // with-loop, into at most ctx.threads chunks.
+  if (sac::sac_pool().size() < 2) {
+    GTEST_SKIP() << "needs a pool of at least 2 workers";
+  }
+  const auto a = sample_array(256, 64);
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  const auto stage = [&](int v) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      seen.insert(std::this_thread::get_id());
+    }
+    return v * 3 + 1;
+  };
+  Context& def = sac::default_context();
+  const Context saved = def;
+  def = Context{1};
+  const auto ref = sac::map(a, stage);
+  const auto ref_sum = sac::lazy(a).map(stage).fold(std::plus<>(), 0);
+  def = Context{4, 1};
+  seen.clear();
+  const auto tasks_before = sac::sac_pool().tasks_executed();
+  const auto par = sac::map(a, stage);
+  const auto tasks_after_map = sac::sac_pool().tasks_executed();
+  const std::size_t map_threads = seen.size();
+  seen.clear();
+  const auto par_sum = sac::lazy(a).map(stage).fold(std::plus<>(), 0, def);
+  def = saved;
+  EXPECT_EQ(par, ref);
+  EXPECT_EQ(par_sum, ref_sum);
+  EXPECT_GT(tasks_after_map, tasks_before) << "the map ran on the calling thread";
+  EXPECT_GT(sac::sac_pool().tasks_executed(), tasks_after_map)
+      << "the fold ran on the calling thread";
+  EXPECT_LE(map_threads, 4U);
+  EXPECT_LE(seen.size(), 4U);
+}

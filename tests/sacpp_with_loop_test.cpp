@@ -285,6 +285,86 @@ TEST_P(WithLoopParallel, BoolGenarrayUnderParallelism) {
 INSTANTIATE_TEST_SUITE_P(ThreadSweep, WithLoopParallel,
                          ::testing::Values(1U, 2U, 3U, 4U, 8U));
 
+// ---- Reentrancy: a with-loop inside a with-loop body ---------------------
+//
+// Every body evaluation of the outer loop runs an inner loop, the shape of
+// is_stuck (whose body runs options_at's fold). Both levels are parallel,
+// so inner loops take scratch indices while the outer one is in use, on
+// the evaluating thread and on workers that help in a join; the outer
+// body reads its index again after the inner loop returns. Each level runs
+// on the compiled engine at `ctx`, or on the reference engine when `ctx`
+// is null.
+
+namespace {
+
+const Context kNested{4, 1};
+
+Array<int> sample_cube() {
+  std::vector<int> data;
+  for (int i = 0; i < 16 * 12 * 9; ++i) {
+    data.push_back(i * 37 % 101 - 50);
+  }
+  return Array<int>(Shape{16, 12, 9}, std::move(data));
+}
+
+int nested_fold(const Array<int>& cube, const Context* ctx) {
+  const std::int64_t R = cube.shape().extent(0);
+  const std::int64_t C = cube.shape().extent(1);
+  const std::int64_t K = cube.shape().extent(2);
+  const auto fold = [ctx](const With<int>& w) {
+    const auto plus = [](int a, int b) { return a + b; };
+    return ctx != nullptr ? w.fold(plus, 0, *ctx) : Ref::fold(w, plus, 0);
+  };
+  return fold(With<int>().gen({0, 0}, {R, C}, [&](const Index& iv) {
+    const std::int64_t i = iv[0];
+    const std::int64_t j = iv[1];
+    // A C×K slab: C segments, so the inner fold splits too.
+    const int slab = fold(With<int>().gen(
+        {i, 0, 0}, {i + 1, C, K},
+        [&cube, j](const Index& jv) { return cube[jv] * (jv[1] == j ? 3 : 1); }));
+    return slab * static_cast<int>(iv[1] + 1) + static_cast<int>(iv[0]);
+  }));
+}
+
+Array<int> nested_genarray(const Array<int>& cube, const Context* ctx) {
+  const std::int64_t R = cube.shape().extent(0);
+  const std::int64_t C = cube.shape().extent(1);
+  const std::int64_t K = cube.shape().extent(2);
+  const auto genarray = [ctx](const With<int>& w, const Shape& shape) {
+    return ctx != nullptr ? w.genarray(shape, -1, *ctx) : Ref::genarray(w, shape, -1);
+  };
+  return genarray(
+      With<int>().gen({0, 0}, {R, C},
+                      [&](const Index& iv) {
+                        const std::int64_t i = iv[0];
+                        const Array<int> slab = genarray(
+                            With<int>().gen({0, 0}, {C, K},
+                                            [&cube, i](const Index& jv) {
+                                              return cube[{i, jv[0], jv[1]}] * 2 + 1;
+                                            }),
+                            Shape{C, K});
+                        return slab[{iv[1], iv[0] % K}] +
+                               static_cast<int>(iv[0] * 7 + iv[1]);
+                      }),
+      Shape{R, C});
+}
+
+}  // namespace
+
+TEST(WithLoopReentrancy, FoldWhoseBodyRunsAFold) {
+  const auto cube = sample_cube();
+  const auto tasks_before = sac::sac_pool().tasks_executed();
+  EXPECT_EQ(nested_fold(cube, &kNested), nested_fold(cube, nullptr));
+  EXPECT_GT(sac::sac_pool().tasks_executed(), tasks_before) << "ran sequentially";
+}
+
+TEST(WithLoopReentrancy, GenarrayWhoseBodyRunsAGenarray) {
+  const auto cube = sample_cube();
+  const auto tasks_before = sac::sac_pool().tasks_executed();
+  EXPECT_EQ(nested_genarray(cube, &kNested), nested_genarray(cube, nullptr));
+  EXPECT_GT(sac::sac_pool().tasks_executed(), tasks_before) << "ran sequentially";
+}
+
 // ---- Randomized compiled-vs-reference equivalence -----------------------
 //
 // The two engines share nothing but the generator list: the reference engine

@@ -79,8 +79,11 @@ TEST(Executor, NestedParallelForOnSingleWorkerDoesNotDeadlock) {
   std::atomic<std::int64_t> sum{0};
   std::atomic<bool> done{false};
   exec.submit([&] {
-    rt::parallel_for_each(exec, 0, 1000, 1,
-                          [&](std::int64_t i) { sum.fetch_add(i); });
+    rt::parallel_for_chunks(exec, 0, 1000, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) {
+        sum.fetch_add(i);
+      }
+    });
     done.store(true);
   });
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -99,7 +102,11 @@ TEST(Executor, DeeplyNestedJoins) {
       leaves.fetch_add(1);
       return;
     }
-    rt::parallel_for_each(exec, 0, 2, 1, [&](std::int64_t) { recurse(depth - 1); });
+    rt::parallel_for_chunks(exec, 0, 2, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) {
+        recurse(depth - 1);
+      }
+    });
   };
   // From an external thread: joins block; inner joins run cooperatively.
   recurse(6);
