@@ -141,9 +141,9 @@ Array<T> take(std::int64_t n, const Array<T>& a) {
   const std::int64_t ext = a.shape().extent(0);
   const std::int64_t cnt = std::min(std::abs(n), ext);
   const std::int64_t start = n >= 0 ? 0 : ext - cnt;
-  std::vector<std::int64_t> dims = a.shape().dims();
+  Shape::Dims dims = a.shape().dims();
   dims[0] = cnt;
-  const Shape out_shape{std::vector<std::int64_t>(dims)};
+  const Shape out_shape(std::move(dims));
   const std::int64_t row = a.shape().suffix(1).element_count();
   Array<T> out(out_shape, T{});
   for (std::int64_t i = 0; i < cnt * row; ++i) {
@@ -162,9 +162,9 @@ Array<T> drop(std::int64_t n, const Array<T>& a) {
   const std::int64_t cnt = std::min(std::abs(n), ext);
   const std::int64_t remain = ext - cnt;
   const std::int64_t start = n >= 0 ? cnt : 0;
-  std::vector<std::int64_t> dims = a.shape().dims();
+  Shape::Dims dims = a.shape().dims();
   dims[0] = remain;
-  const Shape out_shape{std::vector<std::int64_t>(dims)};
+  const Shape out_shape(std::move(dims));
   const std::int64_t row = a.shape().suffix(1).element_count();
   Array<T> out(out_shape, T{});
   for (std::int64_t i = 0; i < remain * row; ++i) {

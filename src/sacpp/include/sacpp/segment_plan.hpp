@@ -184,8 +184,12 @@ class SegmentPlan {
   ///    generator touches.
   /// Generators are assumed already validated against \p shape; empty
   /// generators contribute nothing (and their bounds are never linearised).
+  /// No segment holds more than \p max_len cells (at most kMaxSegmentLen):
+  /// a caller that will chunk the plan over the executor passes a length
+  /// that leaves enough segments to cut into its chunks.
   SegmentPlan(const std::vector<GeneratorSpec>& gens, const Shape& shape,
-              bool resolve_overlap, bool with_complement);
+              bool resolve_overlap, bool with_complement,
+              std::int64_t max_len = kMaxSegmentLen);
 
   const std::vector<Segment>& segments() const { return segments_; }
 
@@ -206,6 +210,8 @@ class SegmentPlan {
   void decompose_generator(std::int32_t ordinal, const GeneratorSpec& g,
                            const std::vector<std::int64_t>& strides,
                            std::vector<Segment>& out);
+
+  std::int64_t max_len_;
 
   std::vector<Segment> segments_;
   std::vector<std::int64_t> prefix_pool_;

@@ -9,11 +9,14 @@
 /// of SaC's built-in `shape()`, `Index` mirrors the index vectors (`iv`)
 /// used in with-loop generators and selections.
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "sacpp/small_vector.hpp"
 
 namespace sac {
 
@@ -26,18 +29,32 @@ class ShapeError : public std::runtime_error {
   explicit ShapeError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Row-major rectangular shape. Rank 0 (empty dims) denotes a scalar.
+/// Row-major rectangular shape. Rank 0 (empty dims) denotes a scalar. The
+/// extents of up to rank 4 live inline, so copying a shape — with every
+/// Array copy and with-loop result — allocates nothing.
 class Shape {
  public:
+  using Dims = SmallVector<std::int64_t, 4>;
+
   Shape() = default;
   Shape(std::initializer_list<std::int64_t> dims) : dims_(dims) { validate(); }
-  explicit Shape(std::vector<std::int64_t> dims) : dims_(std::move(dims)) { validate(); }
+  explicit Shape(const std::vector<std::int64_t>& dims)
+      : dims_(dims.begin(), dims.end()) {
+    validate();
+  }
+  explicit Shape(Dims dims) : dims_(std::move(dims)) { validate(); }
 
   int rank() const { return static_cast<int>(dims_.size()); }
   bool is_scalar() const { return dims_.empty(); }
 
-  std::int64_t extent(int axis) const { return dims_.at(static_cast<std::size_t>(axis)); }
-  const std::vector<std::int64_t>& dims() const { return dims_; }
+  std::int64_t extent(int axis) const {
+    if (axis < 0 || axis >= rank()) {
+      throw std::out_of_range("axis " + std::to_string(axis) + " out of range for shape " +
+                              to_string());
+    }
+    return dims_[static_cast<std::size_t>(axis)];
+  }
+  const Dims& dims() const { return dims_; }
 
   /// Total number of elements (1 for scalars, 0 if any extent is 0).
   std::int64_t element_count() const;
@@ -62,14 +79,16 @@ class Shape {
   /// with a short iv): the trailing `rank() - prefix_len` axes.
   Shape suffix(int prefix_len) const;
 
-  bool operator==(const Shape& other) const { return dims_ == other.dims_; }
-  bool operator!=(const Shape& other) const { return dims_ != other.dims_; }
+  bool operator==(const Shape& other) const {
+    return std::equal(dims_.begin(), dims_.end(), other.dims_.begin(), other.dims_.end());
+  }
+  bool operator!=(const Shape& other) const { return !(*this == other); }
 
   std::string to_string() const;
 
  private:
   void validate() const;
-  std::vector<std::int64_t> dims_;
+  Dims dims_;
 };
 
 /// Concatenation of two shape vectors (used for nested selections).

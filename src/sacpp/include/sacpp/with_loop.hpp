@@ -172,6 +172,20 @@ R fold_over_segments(std::int64_t n, std::int64_t total, const Cells& cells,
   return acc;
 }
 
+/// The segment length cap for a plan over \p cells cells under \p ctx.
+/// When the plan will be chunked over the executor, no segment may hold
+/// more than cells / threads² cells: the segment-count chunking above then
+/// cuts at least ctx.threads chunks (ceil-sized chunks of n >= threads²
+/// segments always number threads), however few generator cells cover a
+/// large root. A sequential plan keeps SegmentPlan::kMaxSegmentLen.
+inline std::int64_t segment_cap(std::int64_t cells, const Context& ctx) {
+  if (ctx.threads <= 1 || cells < ctx.grain) {
+    return SegmentPlan::kMaxSegmentLen;
+  }
+  const auto t2 = static_cast<std::int64_t>(ctx.threads) * ctx.threads;
+  return (cells + t2 - 1) / t2;
+}
+
 /// Segment cell counts of \p plan, for fold_over_segments.
 inline auto plan_cells(const SegmentPlan& plan) {
   return [&plan](std::int64_t i) {
@@ -415,9 +429,12 @@ class With {
     return out;
   }
 
-  SegmentPlan build_plan(const Shape& shape, bool resolve_overlap,
-                         bool with_complement) const {
-    return SegmentPlan(specs(), shape, resolve_overlap, with_complement);
+  /// The plan over \p shape, its segments capped for \p ctx chunking the
+  /// plan's \p cells cells (see detail::segment_cap).
+  SegmentPlan build_plan(const Shape& shape, bool resolve_overlap, bool with_complement,
+                         std::int64_t cells, const Context& ctx) const {
+    return SegmentPlan(specs(), shape, resolve_overlap, with_complement,
+                       detail::segment_cap(cells, ctx));
   }
 
   /// Rank and striding checks that must pass before a plan can even be
@@ -652,7 +669,7 @@ class With {
       return;
     }
     const SegmentPlan plan = build_plan(shp, /*resolve_overlap=*/true,
-                                        /*with_complement=*/false);
+                                        /*with_complement=*/false, total, ctx);
     if (plan.segments().empty()) {
       return;
     }
@@ -688,7 +705,7 @@ class With {
     const Shape bounding{std::vector<std::int64_t>(g.spec.ub.begin(),
                                                    g.spec.ub.end())};
     const SegmentPlan plan({g.spec}, bounding, /*resolve_overlap=*/false,
-                           /*with_complement=*/false);
+                           /*with_complement=*/false, detail::segment_cap(est, ctx));
     return detail::fold_over_segments(
         static_cast<std::int64_t>(plan.segments().size()), plan.total_elements(),
         detail::plan_cells(plan), ctx, std::move(acc), neutral, combine,
@@ -768,7 +785,7 @@ class Fused {
     }
     with_.prevalidate(shape_);
     const SegmentPlan plan =
-        with_.build_plan(shape_, /*resolve_overlap=*/true, /*with_complement=*/true);
+        with_.build_plan(shape_, /*resolve_overlap=*/true, /*with_complement=*/true, n, ctx);
     with_.validate_all(shape_, plan);
     detail::run_over_segments(
         static_cast<std::int64_t>(plan.segments().size()), plan.total_elements(), ctx,
@@ -798,7 +815,7 @@ class Fused {
     }
     with_.prevalidate(shape_);
     const SegmentPlan plan =
-        with_.build_plan(shape_, /*resolve_overlap=*/true, /*with_complement=*/true);
+        with_.build_plan(shape_, /*resolve_overlap=*/true, /*with_complement=*/true, n, ctx);
     with_.validate_all(shape_, plan);
     return detail::fold_over_segments(
         static_cast<std::int64_t>(plan.segments().size()), plan.total_elements(),

@@ -70,15 +70,17 @@ void SegmentPlan::decompose_generator(std::int32_t ordinal, const GeneratorSpec&
     for (std::size_t a = 0; a < outer; ++a) {
       row_base += pre[a] * strides[a];
     }
-    for (std::int64_t s = lo; s < hi; s += kMaxSegmentLen) {
-      const std::int64_t e = std::min(hi, s + kMaxSegmentLen);
+    for (std::int64_t s = lo; s < hi; s += max_len_) {
+      const std::int64_t e = std::min(hi, s + max_len_);
       out.push_back(Segment{ordinal, row_base + s, s, e, prefix_off});
     }
   });
 }
 
 SegmentPlan::SegmentPlan(const std::vector<GeneratorSpec>& gens, const Shape& shape,
-                         bool resolve_overlap, bool with_complement) {
+                         bool resolve_overlap, bool with_complement,
+                         std::int64_t max_len)
+    : max_len_(std::clamp<std::int64_t>(max_len, 1, kMaxSegmentLen)) {
   gen_elements_.assign(gens.size(), 0);
   const std::vector<std::int64_t> strides = shape.strides();
 
@@ -144,8 +146,8 @@ SegmentPlan::SegmentPlan(const std::vector<GeneratorSpec>& gens, const Shape& sh
     std::vector<Interval> holes;
     subtract_into(0, shape.element_count(), claimed, holes);
     for (const auto& [lo, hi] : holes) {
-      for (std::int64_t s = lo; s < hi; s += kMaxSegmentLen) {
-        const std::int64_t e = std::min(hi, s + kMaxSegmentLen);
+      for (std::int64_t s = lo; s < hi; s += max_len_) {
+        const std::int64_t e = std::min(hi, s + max_len_);
         segments_.push_back(Segment{kComplement, s, 0, e - s, -1});
       }
     }

@@ -79,7 +79,7 @@ Shape Shape::suffix(int prefix_len) const {
     throw ShapeError("selection prefix of length " + std::to_string(prefix_len) +
                      " invalid for shape " + to_string());
   }
-  return Shape(std::vector<std::int64_t>(dims_.begin() + prefix_len, dims_.end()));
+  return Shape(Dims(dims_.begin() + prefix_len, dims_.end()));
 }
 
 std::string Shape::to_string() const {
@@ -96,8 +96,10 @@ std::string Shape::to_string() const {
 }
 
 Shape concat_shapes(const Shape& a, const Shape& b) {
-  std::vector<std::int64_t> d = a.dims();
-  d.insert(d.end(), b.dims().begin(), b.dims().end());
+  Shape::Dims d = a.dims();
+  for (const std::int64_t e : b.dims()) {
+    d.emplace_back(e);
+  }
   return Shape(std::move(d));
 }
 

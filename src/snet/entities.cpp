@@ -28,13 +28,6 @@ void OutputEntity::on_quantum_end() {
 
 // ----------------------------------------------------------------- Input
 
-void InputDispatchEntity::on_record(Record) {
-  quantum_role_.assert_held();
-  // Clients reach the entry only through the staging queues; nothing may
-  // deliver records to the dispatcher itself.
-  throw std::logic_error("input dispatcher received a record");
-}
-
 void InputDispatchEntity::fire_released() {
   for (auto& cb : released_) {
     cb();
@@ -300,17 +293,16 @@ std::vector<MultiType> branch_inputs(std::vector<ParallelEntity::Branch>& branch
 
 ParallelEntity::ParallelEntity(Network& net, std::string name,
                                std::vector<Branch> branches)
-    : Entity(net, std::move(name)), router_(branch_inputs(branches)) {
+    : Router(net, std::move(name)), router_(branch_inputs(branches)) {
   entries_.reserve(branches.size());
   for (const Branch& b : branches) {
     entries_.push_back(b.entry);
   }
 }
 
-void ParallelEntity::on_record(Record r) {
-  quantum_role_.assert_held();
+Entity* ParallelEntity::pick(const Record& r) {
   // Best-match routing, memoized per shape: each branch is scored once
-  // when a shape is first seen; afterwards the decision is a hash lookup.
+  // when a shape is first seen; afterwards the decision is a lookup.
   // "If both branches in the streaming network match equally well, one is
   // selected non-deterministically" — ties alternate for fairness.
   const std::size_t chosen = router_.route(r);
@@ -318,66 +310,76 @@ void ParallelEntity::on_record(Record r) {
     throw NetTypeError("parallel combinator " + name() + ": record " + r.to_string() +
                        " matches no branch");
   }
-  send(entries_[chosen], std::move(r));
+  return entries_[chosen];
 }
 
 // ------------------------------------------------------------------ Star
 
 StarStageEntity::StarStageEntity(Network& net, std::string prefix, Net node,
                                  Entity* exit_target, unsigned stage)
-    : Entity(net, prefix + "/stage" + std::to_string(stage)),
+    : Router(net, prefix + "/stage" + std::to_string(stage)),
       prefix_(std::move(prefix)),
       node_(std::move(node)),
       exit_target_(exit_target),
-      stage_(stage) {}
+      stage_(stage) {
+  unfold_mu_.set_order(kUnfoldLockRank, "router.unfold");
+}
 
-void StarStageEntity::on_record(Record r) {
-  quantum_role_.assert_held();
+Entity* StarStageEntity::pick(const Record& r) {
   // Exit-tap decision, memoized per shape (the Fig. 3 guard `<level> > 40`
   // still runs per record — only the label-set half is cached).
   const Pattern& exit = node_->exit;
-  const bool type_ok =
-      exit_type_match_.get_or(r.shape(), [&] { return exit.type.matches(r); });
+  bool scratch = false;
+  const bool type_ok = exit_type_match_.get_or(r.shape(), scratch,
+                                               [&] { return exit.type.matches(r); });
   if (type_ok && (!exit.guard || exit.guard->eval_bool(r))) {
-    send(exit_target_, std::move(r));
-    return;
+    return exit_target_;
   }
-  if (replica_entry_ == nullptr) {
-    // Demand-driven unfolding: materialise this stage's replica and the
-    // next tap.
-    auto next = std::make_unique<StarStageEntity>(net_, prefix_, node_, exit_target_,
-                                                  stage_ + 1);
-    Entity* next_raw = net_.adopt(std::move(next));
-    replica_entry_ = net_.instantiate(
-        node_->child, next_raw, prefix_ + "/rep" + std::to_string(stage_));
+  Entity* replica = replica_entry_.load(std::memory_order_acquire);
+  return replica != nullptr ? replica : unfold();
+}
+
+Entity* StarStageEntity::unfold() {
+  const snetsac::runtime::MutexLock lock(unfold_mu_);
+  if (Entity* replica = replica_entry_.load(std::memory_order_relaxed)) {
+    return replica;  // another producer unfolded it first
   }
-  send(replica_entry_, std::move(r));
+  // Demand-driven unfolding: materialise this stage's replica and the
+  // next tap, then publish the replica's entry.
+  Entity* next = net_.adopt(
+      std::make_unique<StarStageEntity>(net_, prefix_, node_, exit_target_, stage_ + 1));
+  Entity* replica =
+      net_.instantiate(node_->child, next, prefix_ + "/rep" + std::to_string(stage_));
+  replica_entry_.store(replica, std::memory_order_release);
+  return replica;
 }
 
 // ----------------------------------------------------------------- Split
 
 SplitEntity::SplitEntity(Network& net, std::string prefix, Net node,
                          Entity* successor)
-    : Entity(net, prefix), prefix_(std::move(prefix)), node_(std::move(node)),
-      succ_(successor) {}
+    : Router(net, prefix), prefix_(std::move(prefix)), node_(std::move(node)),
+      succ_(successor) {
+  unfold_mu_.set_order(kUnfoldLockRank, "router.unfold");
+}
 
-std::size_t SplitEntity::replica_count() const { return replicas_.size(); }
-
-void SplitEntity::on_record(Record r) {
-  quantum_role_.assert_held();
+Entity* SplitEntity::pick(const Record& r) {
   if (!r.has_tag(node_->split_tag)) {
     throw NetTypeError("parallel replication " + name() + ": record " +
                        r.to_string() + " lacks the replication tag " +
                        label_display(node_->split_tag));
   }
   const std::int64_t v = r.tag(node_->split_tag);
-  auto it = replicas_.find(v);
-  if (it == replicas_.end()) {
-    Entity* entry = net_.instantiate(node_->child, succ_,
-                                     prefix_ + "[" + std::to_string(v) + "]");
-    it = replicas_.emplace(v, entry).first;
+  if (Entity* const* replica = replicas_.find(v)) {
+    return *replica;
   }
-  send(it->second, std::move(r));
+  const snetsac::runtime::MutexLock lock(unfold_mu_);
+  if (Entity* const* replica = replicas_.find(v)) {
+    return *replica;  // another producer instantiated it first
+  }
+  Entity* entry =
+      net_.instantiate(node_->child, succ_, prefix_ + "[" + std::to_string(v) + "]");
+  return *replicas_.insert(v, entry);
 }
 
 // ------------------------------------------------------------- Det entry

@@ -1,7 +1,9 @@
 #include "snet/entity.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "runtime/invariants.hpp"
 #include "snet/detscope.hpp"
 #include "snet/network.hpp"
 
@@ -23,6 +25,15 @@ Entity::Entity(Network& net, std::string name) : net_(net), name_(std::move(name
   flush_threshold_ =
       cap == 0 ? std::max<std::size_t>(256, quantum)
                : std::max<std::size_t>(1, std::min<std::size_t>(cap / 2, quantum));
+}
+
+Entity::Entity(Network& net, std::string name, RouterTag) : Entity(net, std::move(name)) {
+  routes_ = true;
+}
+
+void Entity::on_record(Record) {
+  quantum_role_.assert_held();
+  throw std::logic_error(name_ + " received a record");
 }
 
 void Entity::schedule_after_push() {
@@ -56,6 +67,7 @@ void Entity::schedule_after_push() {
 }
 
 bool Entity::deliver(Message m) {
+  SNETSAC_INVARIANT(!routes_, "router " << name_ << " was delivered a message");
   if (m.kind == Message::Kind::Rec && net_.tracing()) {
     net_.trace_record(*this, m.rec);
   }
@@ -64,7 +76,8 @@ bool Entity::deliver(Message m) {
   return res.congested;
 }
 
-bool Entity::try_deliver(Message& m) {
+bool Entity::try_deliver(Message& m, const RouteTrail& via) {
+  SNETSAC_INVARIANT(!routes_, "router " << name_ << " was delivered a message");
   if (m.kind == Message::Kind::Rec && net_.tracing()) {
     // The trace observer needs the record before it is moved into the
     // queue, so under tracing the capacity check and the push are two
@@ -73,9 +86,12 @@ bool Entity::try_deliver(Message& m) {
     if (inbox_.congested()) {
       return false;
     }
+    Router::note(via, m.rec, false);
     net_.trace_record(*this, m.rec);
     inbox_.push(std::move(m));
-  } else if (!inbox_.try_push(m)) {
+  } else if (inbox_.try_push(m)) {
+    Router::note(via, m.rec, false);  // untraced: counts only, m.rec unread
+  } else {
     return false;
   }
   schedule_after_push();
@@ -83,6 +99,7 @@ bool Entity::try_deliver(Message& m) {
 }
 
 bool Entity::deliver_all(std::vector<Message>& msgs) {
+  SNETSAC_INVARIANT(!routes_, "router " << name_ << " was delivered a message");
   if (net_.tracing()) {
     for (const Message& m : msgs) {
       if (m.kind == Message::Kind::Rec) {
@@ -245,6 +262,12 @@ void Entity::fuse_into(Entity& head) {
 
 void Entity::send(Entity* target, Record r) {
   ++quantum_out_;
+  if (target->routes_) {
+    target = resolve(target, r);
+    if (target == nullptr) {
+      return;  // never emitted: nothing to account
+    }
+  }
   if (target->head_ != nullptr) {
     run_inline(*target, std::move(r));
     return;
@@ -300,7 +323,88 @@ void Entity::publish_counters() {
 
 void Entity::transfer(Entity* target, Record r) {
   ++quantum_out_;
+  if (target->routes_) {
+    target = resolve(target, r);
+    if (target == nullptr) {
+      // The dropped record was consumed: retire the live count and det
+      // stamps it carried.
+      for (const auto& s : r.det_stack()) {
+        det_delta_sub(s.scope, s.seq);
+      }
+      live_delta_sub(r.session_state());
+      return;
+    }
+  }
   buffer_message(target, Message::record(std::move(r)));
+}
+
+Entity* Entity::resolve(Entity* target, const Record& r) {
+  RouteTrail trail;
+  try {
+    while (target->routes_) {
+      trail.size = 0;
+      target = Router::walk(target, r, trail);
+      Router::trace(trail, r);
+      count_routed(trail, false);
+    }
+  } catch (...) {
+    Router::trace(trail, r);
+    count_routed(trail, true);
+    net_.fail(std::current_exception());
+    return nullptr;
+  }
+  return target;
+}
+
+void Entity::count_routed(const RouteTrail& trail, bool failed) {
+  if (head_ != nullptr) {
+    // An inline stage's records are flushed by its head, so the head
+    // (whose role run_inline holds too) accumulates their counts.
+    head_->quantum_role_.assert_held();
+    head_->count_routed(trail, failed);
+    return;
+  }
+  for (std::size_t i = 0; i < trail.size; ++i) {
+    Router* const router = trail.hops[i];
+    auto it = std::find_if(routed_.begin(), routed_.end(),
+                           [router](const RoutedCount& c) { return c.router == router; });
+    if (it == routed_.end()) {
+      it = routed_.insert(routed_.end(), RoutedCount{router});
+    }
+    ++it->in;
+    if (!failed || i + 1 < trail.size) {
+      ++it->out;
+    }
+  }
+}
+
+Entity* Router::walk(Entity* target, const Record& r, RouteTrail& trail) {
+  while (target->routes_ && trail.size < RouteTrail::kMax) {
+    auto* router = static_cast<Router*>(target);
+    trail.hops[trail.size++] = router;
+    target = router->pick(r);
+  }
+  return target;
+}
+
+void Router::trace(const RouteTrail& trail, const Record& r) {
+  for (std::size_t i = 0; i < trail.size; ++i) {
+    Router* const router = trail.hops[i];
+    if (router->net_.tracing()) {
+      router->net_.trace_record(*router, r);
+    }
+  }
+}
+
+void Router::note(const RouteTrail& trail, const Record& r, bool failed) {
+  trace(trail, r);
+  for (std::size_t i = 0; i < trail.size; ++i) {
+    Router* const router = trail.hops[i];
+    router->in_count_.fetch_add(1, std::memory_order_relaxed);
+    if (!failed || i + 1 < trail.size) {
+      router->out_count_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
 }
 
 void Entity::buffer_message(Entity* target, Message m) {
@@ -377,9 +481,19 @@ void Entity::live_delta_sub(SessionState* session) {
 }
 
 void Entity::flush_all() {
-  if (emit_pending_ == 0 && det_deltas_.empty() && live_deltas_.empty()) {
+  if (emit_pending_ == 0 && det_deltas_.empty() && live_deltas_.empty() &&
+      routed_.empty()) {
     return;
   }
+  // 0. The counts of the routers these records passed, before the records
+  //    become visible: a transferred record owes the network no consume
+  //    decrement of ours, so it may finish — and let a quiescence-gated
+  //    stats reader in — before this quantum ends.
+  for (const RoutedCount& c : routed_) {
+    c.router->in_count_.fetch_add(c.in, std::memory_order_relaxed);
+    c.router->out_count_.fetch_add(c.out, std::memory_order_relaxed);
+  }
+  routed_.clear();
   // 1. Emission-side increments, before any staged record becomes visible
   //    (a consumer finishing the record before our accounting lands would
   //    otherwise drain a group or the live count to zero transiently).

@@ -5,6 +5,7 @@
 /// Concrete runtime entities behind each topology construct. Not part of
 /// the public API: clients interact with Net (topology) and Network.
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -60,7 +61,6 @@ class InputDispatchEntity final : public Entity {
       : Entity(net, "input"), entry_(entry) {}
 
  protected:
-  void on_record(Record r) override;  // never delivered; throws
   void on_poke() override;
 
  private:
@@ -128,11 +128,11 @@ class FilterEntity final : public Entity {
       SNETSAC_GUARDED_BY(quantum_role_);
 };
 
-/// Parallel-composition dispatcher: best-match routing over branch input
+/// Parallel-composition router: best-match routing over branch input
 /// types; ties alternate (the non-deterministic choice). The decision is
 /// memoized per record shape (see router.hpp), so steady-state routing is
-/// one hash lookup instead of a per-variant label scan.
-class ParallelEntity final : public Entity {
+/// one lock-free lookup instead of a per-variant label scan.
+class ParallelEntity final : public Router {
  public:
   struct Branch {
     MultiType input;
@@ -140,61 +140,62 @@ class ParallelEntity final : public Entity {
   };
   ParallelEntity(Network& net, std::string name, std::vector<Branch> branches);
 
- protected:
-  void on_record(Record r) override;
+  Entity* pick(const Record& r) override;
 
  private:
   std::vector<Entity*> entries_;
-  ParallelRouter router_ SNETSAC_GUARDED_BY(quantum_role_);
+  ParallelRouter router_;
 };
+
+/// Lock rank of a router's instantiation mutex: below the network's entity
+/// registry (5), which instantiation takes inside it.
+inline constexpr unsigned kUnfoldLockRank = 3;
 
 /// One stage of a serial replication: "the chain is tapped before every
 /// replica to extract records that match the type". Non-matching records
 /// enter this stage's replica, whose output feeds the next stage —
 /// created on demand ("the unfolding of the chain of networks is
 /// demand-driven").
-class StarStageEntity final : public Entity {
+class StarStageEntity final : public Router {
  public:
   StarStageEntity(Network& net, std::string prefix, Net node, Entity* exit_target,
                   unsigned stage);
 
- protected:
-  void on_record(Record r) override;
+  Entity* pick(const Record& r) override;
 
  private:
+  /// This stage's replica entry, instantiated with the next stage by the
+  /// first record that does not exit here.
+  Entity* unfold();
+
   std::string prefix_;
   Net node_;  // the Star node
   Entity* exit_target_;
   unsigned stage_;
-  /// Lazily instantiated.
-  Entity* replica_entry_ SNETSAC_GUARDED_BY(quantum_role_) = nullptr;
+  /// Published (release) once the replica is fully built; null before.
+  std::atomic<Entity*> replica_entry_{nullptr};
+  snetsac::runtime::Mutex unfold_mu_;
   /// Per-shape memo of the exit pattern's type match (guard per record).
-  ShapeMemo<bool> exit_type_match_ SNETSAC_GUARDED_BY(quantum_role_);
+  SharedShapeMemo<bool> exit_type_match_;
 };
 
-/// Parallel replication dispatcher: routes on the value of the split tag;
-/// "it is guaranteed that any two records whose replication tags have the
+/// Parallel replication router: routes on the value of the split tag; "it
+/// is guaranteed that any two records whose replication tags have the
 /// same (integer) value are sent to the same replica."
-class SplitEntity final : public Entity {
+class SplitEntity final : public Router {
  public:
   SplitEntity(Network& net, std::string prefix, Net node, Entity* successor);
 
-  /// Replica census for tests/diagnostics. Reads worker-only state
-  /// quiescently (after wait(), no quantum can be running), a protocol
-  /// argument the analysis cannot follow — annotated out rather than cast.
-  std::size_t replica_count() const SNETSAC_NO_TSA;
-
- protected:
-  void on_record(Record r) override;
+  Entity* pick(const Record& r) override;
 
  private:
   std::string prefix_;
   Net node_;  // the Split node
   Entity* succ_;
-  /// Only touched by the worker currently running the entity;
-  /// replica_count() reads it quiescently (after wait()), which the
-  /// analysis cannot see — hence the annotation opt-out there.
-  std::map<std::int64_t, Entity*> replicas_ SNETSAC_GUARDED_BY(quantum_role_);
+  snetsac::runtime::Mutex unfold_mu_;
+  /// Tag value → replica entry. Lookups are lock-free; a missing replica
+  /// is instantiated and inserted under unfold_mu_.
+  SharedTable<std::int64_t, Entity*> replicas_;
 };
 
 /// Entry of a deterministic region: stamps records with fresh group

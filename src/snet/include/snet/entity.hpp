@@ -34,8 +34,14 @@
 ///    Network::instantiate and serial_segments) has no live inbox. A send
 ///    into it runs its on_record inside the producer's quantum, and its
 ///    own emissions go to the segment head's buffers and accumulators, so
-///    the record between two stages costs a call, not an entity hop.
+///    the record between two stages costs a call, not an entity hop, and
+///  * routing at the producer: a *router* (a non-deterministic parallel,
+///    split or star stage, see Router) only picks where a record goes
+///    next. Nothing is ever delivered to it: send()/transfer() and the
+///    client's inject resolve it in the producer's own thread and stage
+///    the record straight for the inbox-backed entity it picks.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -49,6 +55,7 @@
 namespace snet {
 
 class Network;
+class Router;
 class SessionState;
 
 class Entity {
@@ -70,10 +77,18 @@ class Entity {
   /// stages).
   bool deliver(Message m);
 
+  /// The routers one resolution passed through, in order (see Router).
+  struct RouteTrail {
+    static constexpr std::size_t kMax = 8;
+    std::array<Router*, kMax> hops;
+    std::size_t size = 0;
+  };
+
   /// Bounded enqueue for client injection: refuses — leaving \p m intact
   /// — when the inbox is at capacity. On success the entity is scheduled
-  /// as with deliver().
-  bool try_deliver(Message& m);
+  /// as with deliver(), and the routers of \p via — the ones the record
+  /// was resolved through on its way here — report and count it.
+  bool try_deliver(Message& m, const RouteTrail& via);
 
   /// Batched deliver: traces and enqueues every message under a single
   /// inbox lock (push_all), then runs the scheduling handshake once.
@@ -99,6 +114,9 @@ class Entity {
   /// det-group completion and synchrocell eviction of dead sessions.
   /// Thread-safe.
   void poke() { deliver(Message::poke()); }
+
+  /// True for a router: producers resolve it, nothing is delivered to it.
+  bool routes() const { return routes_; }
 
   std::uint64_t records_in() const { return in_count_.load(std::memory_order_relaxed); }
   std::uint64_t records_out() const { return out_count_.load(std::memory_order_relaxed); }
@@ -133,9 +151,16 @@ class Entity {
   /// doubles as a dynamic single-runner check in SNETSAC_CHECKED builds.
   snetsac::runtime::ThreadRole quantum_role_;
 
+  /// For routers (see Router): marks the entity as resolved by its
+  /// producers, never delivered to.
+  struct RouterTag {};
+  Entity(Network& net, std::string name, RouterTag);
+
   /// Consumes one record. Emissions go through send()/transfer().
-  /// Implementations open with `quantum_role_.assert_held()`.
-  virtual void on_record(Record r) = 0;
+  /// Implementations open with `quantum_role_.assert_held()`. Entities
+  /// that receive no records (routers, the input dispatcher) keep this
+  /// default, which throws.
+  virtual void on_record(Record r);
   /// Handles a control poke (det group completion, stall resumption...).
   virtual void on_poke() {}
   /// Runs at the end of every quantum, before the emission buffers are
@@ -147,14 +172,18 @@ class Entity {
   /// Emits a derived record downstream: counted as an emission of the
   /// record currently being consumed (det accounting, live accounting).
   /// A congested target requests a stall of this entity — of the segment
-  /// head when this is an inline stage. An inline \p target consumes \p r
-  /// right here (see run_inline); the record is never counted live.
+  /// head when this is an inline stage. A router \p target is resolved
+  /// first (see resolve). An inline \p target consumes \p r right here
+  /// (see run_inline); the record is never counted live.
   void send(Entity* target, Record r) SNETSAC_REQUIRES(quantum_role_);
 
   /// Moves a record the entity had previously buffered (and manually
   /// accounted for) downstream without counting it as a fresh emission.
-  /// A congested target requests a stall of this entity. Never targets an
-  /// inline stage (only det collectors and the input dispatcher transfer).
+  /// A congested target requests a stall of this entity. A router
+  /// \p target is resolved first; when routing fails, the dropped record
+  /// retires what it held (its live count and det stamps). Never targets
+  /// an inline stage (only det collectors and the input dispatcher
+  /// transfer).
   void transfer(Entity* target, Record r) SNETSAC_REQUIRES(quantum_role_);
 
   /// Applies pending increments, pushes every buffer (one push_all per
@@ -202,6 +231,15 @@ class Entity {
   /// Folds the records in/out counted since the last publish into the
   /// atomic counters stats() reads.
   void publish_counters() SNETSAC_REQUIRES(quantum_role_);
+  /// Follows routers from \p target for \p r, in this thread, to the
+  /// inbox-backed entity the record goes to; each router passed reports
+  /// and counts it. A router that throws fails the network with its
+  /// exception and yields null: the record is dropped.
+  Entity* resolve(Entity* target, const Record& r) SNETSAC_REQUIRES(quantum_role_);
+  /// Counts \p trail's records in and out of its routers (the last one in
+  /// only, when \p failed) in the segment head's accumulator, which
+  /// flush_all folds into the routers before it pushes anything.
+  void count_routed(const RouteTrail& trail, bool failed) SNETSAC_REQUIRES(quantum_role_);
 
   // --- batched emission (see file comment) ------------------------------
   // All of this is only touched by the single worker currently running
@@ -246,6 +284,8 @@ class Entity {
   void live_delta_sub(SessionState* session) SNETSAC_REQUIRES(quantum_role_);
 
   std::string name_;
+  /// Fixed in the constructor and read-only afterwards.
+  bool routes_ = false;
   snetsac::runtime::MpscQueue<Message> inbox_;
   /// Quantum drain buffer (reused across quanta; only the worker currently
   /// running the entity touches it — guarded by the quantum role).
@@ -302,9 +342,60 @@ class Entity {
   /// a per-record RMW.
   std::uint64_t quantum_in_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
   std::uint64_t quantum_out_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
+  /// The records this entity (or, for a segment head, one of its inline
+  /// stages) routed through each router since the last flush: a router
+  /// has no quantum of its own, so its producers fold its counters for
+  /// it, once per flush, instead of every producer bumping the router's
+  /// shared atomics per record.
+  struct RoutedCount {
+    Router* router;
+    std::uint64_t in = 0;
+    std::uint64_t out = 0;
+  };
+  std::vector<RoutedCount> routed_ SNETSAC_GUARDED_BY(quantum_role_);
 
+  /// A router's are folded in by its producers' flushes (see routed_),
+  /// or bumped directly by an injecting client (Router::note).
   std::atomic<std::uint64_t> in_count_{0};
   std::atomic<std::uint64_t> out_count_{0};
+
+  friend class Router;
+};
+
+/// A non-deterministic routing combinator instance: a parallel's
+/// best-match dispatcher, a split, a star stage. The branch or replica a
+/// record enters is a function of its shape and its tag values, so a
+/// router is a decision, not a stage: it has no inbox use and never runs
+/// a quantum. Every producer that targets it — Entity::send/transfer, the
+/// client's inject bypass and the input dispatcher's forward — calls
+/// pick() in its own thread, following the chain (a star stage's exit
+/// test, its replica's entry, a split, the replica's head) to an
+/// inbox-backed entity, and stages the record for that entity through
+/// its own emit buffers and credit path. Routers keep their entity, name,
+/// stats row and trace reports: each router a record passes reports it
+/// to Options::trace and counts it in and out.
+class Router : public Entity {
+ public:
+  /// The entity \p r goes to next, possibly another router. Thread-safe:
+  /// all producers call it at once. Shared decision state is read without
+  /// a lock (router.hpp); only a memo miss or a replica instantiation
+  /// takes one. Throws NetTypeError when \p r cannot be routed.
+  virtual Entity* pick(const Record& r) = 0;
+
+  /// Follows pick() from \p target while it names a router, appending
+  /// each router to \p trail before asking it (so a router that throws is
+  /// its last entry), and reports nothing. Returns the inbox-backed
+  /// entity reached, or the next router when the trail is full.
+  static Entity* walk(Entity* target, const Record& r, RouteTrail& trail);
+  /// Reports \p r to the trace under every router of \p trail.
+  static void trace(const RouteTrail& trail, const Record& r);
+  /// trace(), then counts \p r in and out of each router of \p trail; with
+  /// \p failed, the last one threw and counts it in only. For a producer
+  /// outside any quantum (an injecting client).
+  static void note(const RouteTrail& trail, const Record& r, bool failed);
+
+ protected:
+  Router(Network& net, std::string name) : Entity(net, std::move(name), RouterTag{}) {}
 };
 
 }  // namespace snet

@@ -247,8 +247,9 @@ struct NetworkStats {
 /// into segments holding at most one box (`f b f b f` → `[f b f][b f]`);
 /// every other leaf is a segment of its own. Every stage after a segment's
 /// first is an inline stage of it: it runs inside the first's quanta, so
-/// a filter never costs an entity hop, while box→box edges and every edge
-/// into or out of a combinator entity keep their inbox.
+/// a filter never costs an entity hop, while box→box edges and the edges
+/// into a synchrocell or det bracket keep their inbox (routers have none
+/// to keep, see Router).
 std::vector<std::vector<Net>> serial_segments(const Net& serial);
 
 /// The fused segments (two or more stages) of \p topology, each as the
@@ -257,6 +258,23 @@ std::vector<std::vector<Net>> serial_segments(const Net& serial);
 /// replicas created on demand carry `*` where the runtime puts the star
 /// stage number or the split tag value.
 std::vector<std::vector<std::string>> fused_segments(const Net& topology);
+
+/// One router of a topology and the entities that resolve it in their own
+/// thread (see Router): `input` for the client's inject and the input
+/// dispatcher, a router for the one it picks next, and otherwise the
+/// entities whose output feeds it.
+struct RoutedEdge {
+  std::string router;
+  std::vector<std::string> producers;
+};
+
+/// The routers of \p topology with their producers, named as
+/// Network::instantiate names them (through the same naming functions,
+/// serial_segments and parallel_branches); `*` stands for a star stage
+/// number or a split tag value. Every parallel, star and split has a
+/// router; a det one is fed by its bracket's entry and exits through its
+/// collector.
+std::vector<RoutedEdge> routed_edges(const Net& topology);
 
 class Network {
  public:
@@ -367,13 +385,14 @@ class Network {
   /// Instantiates a (sub)topology whose output feeds \p successor; returns
   /// the entry entity. Thread-safe (star/split call this while running).
   Entity* instantiate(const Net& node, Entity* successor, const std::string& prefix);
-  /// Instantiates a parallel, star or split whose entry entity
+  /// Instantiates a parallel, star or split whose router
   /// `build(merge_target)` creates. A det combinator is bracketed: the
-  /// collector `<prefix>/<kind>-coll` (feeding \p successor) is the merge
-  /// target, and the entry `<prefix>/<kind>-entry`, which forwards to what
-  /// `build` returns, becomes the combinator's entry.
+  /// collector `<prefix>/<kind>-coll` (feeding \p successor; kind is par,
+  /// star or split) is the merge target, and the entry
+  /// `<prefix>/<kind>-entry`, which forwards to the router, becomes the
+  /// combinator's entry.
   Entity* instantiate_bracketed(const Net& node, Entity* successor,
-                                const std::string& prefix, const char* kind,
+                                const std::string& prefix,
                                 const std::function<Entity*(Entity*)>& build);
   /// Registers an entity; returns a stable raw pointer owned by the net.
   Entity* adopt(std::unique_ptr<Entity> entity);

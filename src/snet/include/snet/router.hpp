@@ -2,127 +2,156 @@
 #define SNETSAC_SNET_ROUTER_HPP
 
 /// \file router.hpp (internal)
-/// Shape-memoized branch selection for parallel combinators. The branch
-/// input types are fixed at instantiation and a record's match outcome
-/// depends only on its label set, so the full best-match decision — the
-/// winning score and the set of equally-scored branches — is computed once
-/// per distinct `ShapeId` and replayed as a single hash lookup thereafter.
-/// Ties still rotate per record ("one is selected non-deterministically");
-/// only the tied *set* is memoized, not the pick.
+/// Shape-memoized routing decisions. A record's match outcome depends only
+/// on its label set, so a decision — a parallel's winning branch set, a
+/// star's exit-pattern type match, a filter's compiled plans — is
+/// computed once per distinct `ShapeId` and replayed as one lookup
+/// thereafter. Ties still rotate per record ("one is selected
+/// non-deterministically"); only the tied *set* is memoized, not the pick.
 ///
 /// Route tables are *bounded*: steady-state streams carry a handful of
 /// shapes, but an adversarial workload can mint unbounded distinct label
-/// sets (the ROADMAP follow-up from PR 2). At `max_entries` the table is
-/// evicted wholesale (epoch reset — O(1) amortised for workloads that
-/// merely drift); a workload that keeps blowing through the cap
-/// (`kMaxResets` evictions) is genuinely churn-heavy, so caching turns
-/// itself off and every decision falls back to uncached matching — always
-/// correct, never unbounded memory.
+/// sets. At `max_entries` a table is evicted wholesale (epoch reset —
+/// O(1) amortised for workloads that merely drift); a workload that keeps
+/// blowing through the cap (`kMaxResets` evictions) is genuinely
+/// churn-heavy, so caching turns itself off and every decision falls back
+/// to uncached matching — always correct, never unbounded memory.
 ///
-/// Not thread-safe: a router belongs to one entity, and entities are run
-/// by at most one worker at a time.
+/// Two memo flavours share one table (`SharedTable`): `ShapeMemo` belongs
+/// to one entity, which at most one worker runs at a time; `SharedShapeMemo`
+/// belongs to a router (entity.hpp), which every producer consults from
+/// its own thread, concurrently — its hits take no lock.
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "runtime/annotations.hpp"
 #include "snet/rtypes.hpp"
 #include "snet/shapes.hpp"
 
 namespace snet::detail {
 
-/// Cap policy shared by every per-entity route table.
+/// Cap policy shared by every route table.
 struct RouteTableBounds {
   static constexpr std::size_t kDefaultMaxEntries = 1024;
   static constexpr unsigned kMaxResets = 8;
 };
 
-/// Open-addressed ShapeId → Value table behind every route memo. ShapeIds
-/// are small dense integers and route tables sit on the per-record hot
-/// path, so a linear-probe array (Fibonacci-mixed, load ≤ 1/2) replaces
-/// the previous `unordered_map`: a lookup is one multiply plus a couple of
-/// contiguous probes, no allocation. Values are stored in place; pointers
-/// to them stay valid until the next `insert` (which may rehash) or
-/// `clear`, which is exactly the lifetime the run caches above it need.
-template <class Value>
-class FlatShapeTable {
+/// Insert-only open-addressed map (linear probe, Fibonacci-mixed, load
+/// <= 1/2) behind every route memo and the split's replica map. One
+/// writer at a time — the owner serialises insert and clear — and any
+/// number of concurrent readers: a slot's key and value are written
+/// before its `full` flag is released, and are never written again, so
+/// find() is a few acquire loads and no lock. Growth copies into a table
+/// twice the size and publishes it; replaced tables (and those clear()
+/// drops) stay allocated until the map is destroyed, because a reader may
+/// still be probing them. Evictions are capped (RouteTableBounds), so that
+/// retention is bounded too. A returned value's address is therefore
+/// stable for the map's lifetime.
+template <class Key, class Value>
+class SharedTable {
  public:
-  Value* find(ShapeId shape) {
-    if (count_ == 0) {
+  SharedTable() = default;
+  SharedTable(const SharedTable&) = delete;
+  SharedTable& operator=(const SharedTable&) = delete;
+
+  const Value* find(Key key) const {
+    const Table* t = current_.load(std::memory_order_acquire);
+    if (t == nullptr) {
       return nullptr;
     }
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = mix(shape) & mask;; i = (i + 1) & mask) {
-      Slot& s = slots_[i];
-      if (s.key == shape + 1) {
-        return &s.value;
-      }
-      if (s.key == 0) {
+    for (std::size_t i = mix(key) & t->mask;; i = (i + 1) & t->mask) {
+      const Slot& s = t->slots[i];
+      if (!s.full.load(std::memory_order_acquire)) {
         return nullptr;
       }
+      if (s.key == key) {
+        return &s.value;
+      }
     }
   }
 
-  /// Inserts \p value under \p shape (precondition: absent). May rehash;
-  /// returns the stored value's address.
-  Value* insert(ShapeId shape, Value value) {
-    if ((count_ + 1) * 2 > slots_.size()) {
-      grow();
+  /// Inserts \p value under \p key (precondition: absent). Writer only.
+  const Value* insert(Key key, Value value) {
+    Table* t = current_.load(std::memory_order_relaxed);
+    if (t == nullptr || (count_ + 1) * 2 > t->mask + 1) {
+      t = grow(t);
     }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = mix(shape) & mask;
-    while (slots_[i].key != 0) {
-      i = (i + 1) & mask;
-    }
-    slots_[i].key = shape + 1;
-    slots_[i].value = std::move(value);
+    Slot& s = free_slot(*t, key);
+    s.key = key;
+    s.value = std::move(value);
+    s.full.store(true, std::memory_order_release);
     ++count_;
-    return &slots_[i].value;
+    return &s.value;
   }
 
+  /// Forgets every entry. Writer only.
   void clear() {
-    slots_.clear();
+    current_.store(nullptr, std::memory_order_release);
     count_ = 0;
   }
 
+  /// Entries since the last clear; writer side (or quiescent).
   std::size_t size() const { return count_; }
 
  private:
   struct Slot {
-    ShapeId key = 0;  // shape + 1; 0 marks an empty slot
+    std::atomic<bool> full{false};
+    Key key{};
     Value value{};
   };
+  struct Table {
+    explicit Table(std::size_t n) : mask(n - 1), slots(new Slot[n]) {}
+    std::size_t mask;
+    std::unique_ptr<Slot[]> slots;
+  };
 
-  static std::size_t mix(ShapeId shape) {
-    return static_cast<std::size_t>((shape + 1) * 2654435761U);
+  static std::size_t mix(Key key) {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> 32);
   }
 
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
-    const std::size_t mask = slots_.size() - 1;
-    for (Slot& s : old) {
-      if (s.key == 0) {
-        continue;
-      }
-      std::size_t i = mix(s.key - 1) & mask;
-      while (slots_[i].key != 0) {
-        i = (i + 1) & mask;
-      }
-      slots_[i] = std::move(s);
+  static Slot& free_slot(Table& t, Key key) {
+    std::size_t i = mix(key) & t.mask;
+    while (t.slots[i].full.load(std::memory_order_relaxed)) {
+      i = (i + 1) & t.mask;
     }
+    return t.slots[i];
   }
 
-  std::vector<Slot> slots_;
+  /// A table twice \p old's size holding its entries, published.
+  Table* grow(const Table* old) {
+    const std::size_t n = old == nullptr ? 16 : (old->mask + 1) * 2;
+    auto fresh = std::make_unique<Table>(n);
+    if (old != nullptr) {
+      for (std::size_t i = 0; i <= old->mask; ++i) {
+        const Slot& s = old->slots[i];
+        if (s.full.load(std::memory_order_relaxed)) {
+          Slot& d = free_slot(*fresh, s.key);
+          d.key = s.key;
+          d.value = s.value;
+          d.full.store(true, std::memory_order_relaxed);
+        }
+      }
+    }
+    Table* raw = fresh.get();
+    tables_.push_back(std::move(fresh));
+    current_.store(raw, std::memory_order_release);
+    return raw;
+  }
+
+  std::atomic<Table*> current_{nullptr};
   std::size_t count_ = 0;
+  std::vector<std::unique_ptr<Table>> tables_;  // current and retired
 };
 
-/// Per-shape memo table: one immutable value per record shape, computed
-/// on first sight. The idiom behind every entity route table — filters
-/// and star exits memoize a bool (pattern type match), synchrocells a
-/// slot bitset, parallels the tied branch set. Unsynchronised by design: a
-/// memo belongs to one entity, and entities are run by at most one worker
-/// at a time.
+/// Per-shape memo table of one entity: one immutable value per record
+/// shape, computed on first sight. Filters memoize their compiled plans,
+/// boxes their emission plans, synchrocells a slot bitset. Unsynchronised
+/// by design: the entity is run by at most one worker at a time.
 template <class Value>
 class ShapeMemo {
  public:
@@ -172,17 +201,76 @@ class ShapeMemo {
   bool caching_disabled() const { return disabled_; }
 
  private:
-  FlatShapeTable<Value> table_;
+  SharedTable<ShapeId, Value> table_;
   std::size_t max_entries_;
   unsigned resets_ = 0;
   bool disabled_ = false;
   Value scratch_{};  // the returned value while caching is disabled
-  /// Inline run cache: the last shape seen and its table entry. Entries
-  /// stay put until the next insert (possible rehash) or eviction, and the
-  /// cache is refreshed or cleared on both — so the pointer is always into
-  /// live storage.
+  /// Inline run cache: the last shape seen and its table entry, cleared on
+  /// eviction.
   ShapeId last_shape_ = 0;
   const Value* last_ = nullptr;
+};
+
+/// Per-shape memo of a router, consulted by all of its producers at once.
+/// Same bounded policy as ShapeMemo, without the run cache (a shared one
+/// would be written by every producer): a hit is one lock-free probe; a
+/// miss fills outside the lock, then inserts under the memo's own mutex,
+/// which ranks below the network's entity registry and is never held
+/// across anything else.
+template <class Value>
+class SharedShapeMemo {
+ public:
+  explicit SharedShapeMemo(
+      std::size_t max_entries = RouteTableBounds::kDefaultMaxEntries)
+      : max_entries_(max_entries == 0 ? 1 : max_entries) {
+    mu_.set_order(4, "router.memo");
+  }
+
+  /// The memoized value for \p shape, computing it via \p fill on a miss.
+  /// The reference stays valid for the memo's lifetime, except while
+  /// caching is disabled: then it refers to \p scratch, which holds the
+  /// freshly filled value.
+  template <class Fill>
+  const Value& get_or(ShapeId shape, Value& scratch, Fill&& fill) {
+    if (const Value* found = table_.find(shape)) {
+      return *found;
+    }
+    scratch = fill();
+    if (disabled_.load(std::memory_order_acquire)) {
+      return scratch;
+    }
+    const snetsac::runtime::MutexLock lock(mu_);
+    if (const Value* found = table_.find(shape)) {
+      return *found;  // another producer filled it first
+    }
+    if (disabled_.load(std::memory_order_relaxed)) {
+      return scratch;
+    }
+    if (table_.size() >= max_entries_) {
+      table_.clear();
+      const unsigned resets = resets_.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (resets > RouteTableBounds::kMaxResets) {
+        disabled_.store(true, std::memory_order_release);
+        return scratch;
+      }
+    }
+    return *table_.insert(shape, scratch);
+  }
+
+  std::size_t size() const {
+    const snetsac::runtime::MutexLock lock(mu_);
+    return table_.size();
+  }
+  unsigned resets() const { return resets_.load(std::memory_order_relaxed); }
+  bool caching_disabled() const { return disabled_.load(std::memory_order_relaxed); }
+
+ private:
+  mutable snetsac::runtime::Mutex mu_;
+  SharedTable<ShapeId, Value> table_;  // inserts and clears under mu_
+  std::size_t max_entries_;
+  std::atomic<unsigned> resets_{0};
+  std::atomic<bool> disabled_{false};
 };
 
 class ParallelRouter {
@@ -196,16 +284,19 @@ class ParallelRouter {
   std::size_t branch_count() const { return inputs_.size(); }
 
   /// The branch index \p r routes to, or npos when no branch matches.
-  std::size_t route(const Record& r) {
-    // A fresh shape scores every branch once into the scratch vector, then
-    // collects the argmax set (the same collection tied_for runs on types).
-    const std::vector<std::uint32_t>& tied = memo_.get_or(r.shape(), [&] {
-      scores_.clear();
+  /// Thread-safe: every producer of a parallel router calls it at once.
+  std::size_t route(const Record& r) const {
+    // A fresh shape scores every branch once, then collects the argmax set
+    // (the same collection tied_for runs on types).
+    std::vector<std::uint32_t> scratch;
+    const std::vector<std::uint32_t>& tied = memo_.get_or(r.shape(), scratch, [&] {
+      std::vector<int> scores;
+      scores.reserve(inputs_.size());
       for (const MultiType& input : inputs_) {
-        scores_.push_back(input.match_score(r));
+        scores.push_back(input.match_score(r));
       }
       std::vector<std::uint32_t> set;
-      collect_argmax(scores_, set);
+      collect_argmax(scores, set);
       return set;
     });
     if (tied.empty()) {
@@ -214,7 +305,7 @@ class ParallelRouter {
     if (tied.size() == 1) {
       return tied.front();
     }
-    return tied[tie_break_++ % tied.size()];
+    return tied[tie_break_.fetch_add(1, std::memory_order_relaxed) % tied.size()];
   }
 
   std::size_t table_size() const { return memo_.size(); }
@@ -263,9 +354,8 @@ class ParallelRouter {
 
   std::vector<MultiType> inputs_;
   /// Tied branch set per shape; ties still rotate per record in route().
-  ShapeMemo<std::vector<std::uint32_t>> memo_;
-  std::vector<int> scores_;  // scratch, reused across misses
-  std::uint64_t tie_break_ = 0;
+  mutable SharedShapeMemo<std::vector<std::uint32_t>> memo_;
+  mutable std::atomic<std::uint64_t> tie_break_{0};
 };
 
 }  // namespace snet::detail

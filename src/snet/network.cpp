@@ -307,17 +307,35 @@ bool Network::port_inject(SessionState& s, Record& r, bool block) {
   live_add(&s, 1);
   // Fast path: while no session anywhere has staged backlog (and this one
   // is not throttled), there is no admission order to arbitrate — deliver
-  // straight to the entry and skip the staging/DRR detour entirely. The
-  // entry refusing (bounded inbox full) falls through to staging, which
-  // lists the session and turns the DRR on for everyone.
+  // straight to the entry and skip the staging/DRR detour entirely. An
+  // entry router is resolved right here, on the client's thread; its
+  // trace and counters wait for the admission. The target refusing
+  // (bounded inbox full) falls through to staging, which lists the
+  // session and turns the DRR on for everyone; the dispatcher resolves
+  // the record again when it forwards it.
   if (listed_count_.load(std::memory_order_acquire) == 0 && !s.throttled() &&
       s.staging_.empty()) {
-    Message m = Message::record(std::move(r));
-    if (entry_->try_deliver(m)) {
+    Entity::RouteTrail trail;
+    Entity* target = nullptr;
+    try {
+      target = Router::walk(entry_, r, trail);
+    } catch (...) {
+      // A router that cannot route the record fails the network, not
+      // the inject: the record's live charge is released.
+      Router::note(trail, r, true);
+      fail(std::current_exception());
+      live_sub(&s, 1);
       injected_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
-    r = std::move(m.rec);
+    if (!target->routes()) {  // else a chain deeper than the trail: stage it
+      Message m = Message::record(std::move(r));
+      if (target->try_deliver(m, trail)) {
+        injected_.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+      r = std::move(m.rec);
+    }
   }
   // A full staging queue is "full" for a non-blocking caller; a blocking
   // one waits for the dispatcher to forward its backlog (on an executor
@@ -916,6 +934,90 @@ std::string stage_name(const Net& n, const std::string& prefix) {
                                        : prefix + "/filter";
 }
 
+/// The path instantiate builds parallel, star or split \p n at under
+/// \p prefix: the name of a parallel's or split's router, the stem of a
+/// star's stage routers (`/stage<n>`) and replicas (`/rep<n>`), and of a
+/// det bracket's `-entry` and `-coll`.
+std::string combinator_path(const Net& n, const std::string& prefix) {
+  switch (n->kind) {
+    case NetNode::Kind::Parallel:
+      return prefix + "/par";
+    case NetNode::Kind::Star:
+      return prefix + "/star";
+    default:
+      return prefix + "/split";
+  }
+}
+
+/// Adds \p producers to \p router's row of \p out, keeping first-seen
+/// order on both levels.
+void add_producers(std::vector<RoutedEdge>& out, const std::string& router,
+                   const std::vector<std::string>& producers) {
+  auto row = std::find_if(out.begin(), out.end(),
+                          [&](const RoutedEdge& e) { return e.router == router; });
+  if (row == out.end()) {
+    out.push_back(RoutedEdge{router, {}});
+    row = out.end() - 1;
+  }
+  for (const std::string& p : producers) {
+    if (std::find(row->producers.begin(), row->producers.end(), p) ==
+        row->producers.end()) {
+      row->producers.push_back(p);
+    }
+  }
+}
+
+/// Walks \p n as instantiate builds it under \p prefix, fed by the
+/// entities \p producers: records every router's producers in \p out and
+/// returns the entities that emit \p n's output. A router passes its
+/// records on, so it is the producer of whatever it resolves to next.
+std::vector<std::string> collect_routed(const Net& n, const std::string& prefix,
+                                        std::vector<std::string> producers,
+                                        std::vector<RoutedEdge>& out) {
+  switch (n->kind) {
+    case NetNode::Kind::Box:
+    case NetNode::Kind::Filter:
+      return {stage_name(n, prefix)};
+    case NetNode::Kind::Sync:
+      return {prefix + "/sync"};
+    case NetNode::Kind::Serial:
+      for (const std::vector<Net>& segment : serial_segments(n)) {
+        producers = segment.size() > 1
+                        ? std::vector<std::string>{stage_name(segment.back(), prefix)}
+                        : collect_routed(segment.front(), prefix, std::move(producers), out);
+      }
+      return producers;
+    case NetNode::Kind::Parallel:
+    case NetNode::Kind::Star:
+    case NetNode::Kind::Split:
+      break;
+  }
+  const std::string path = combinator_path(n, prefix);
+  if (n->det) {
+    producers = {path + "-entry"};
+  }
+  std::vector<std::string> exits;
+  if (n->kind == NetNode::Kind::Parallel) {
+    add_producers(out, path, producers);
+    for (const ParallelBranch& b : parallel_branches(n, prefix)) {
+      for (std::string& e : collect_routed(b.net, b.path, {path}, out)) {
+        exits.push_back(std::move(e));
+      }
+    }
+  } else if (n->kind == NetNode::Kind::Star) {
+    // Every stage is one router: fed by the star's producers (stage 0) and
+    // by the previous stage's replica; it is also what the star exits from.
+    const std::string stage = path + "/stage*";
+    add_producers(out, stage, producers);
+    add_producers(out, stage, collect_routed(n->child, path + "/rep*", {stage}, out));
+    exits = {stage};
+  } else {
+    add_producers(out, path, producers);
+    exits = collect_routed(n->child, path + "[*]", {path}, out);
+  }
+  return n->det ? std::vector<std::string>{path + "-coll"} : exits;
+}
+
 void collect_fused(const Net& n, const std::string& prefix,
                    std::vector<std::vector<std::string>>& out) {
   switch (n->kind) {
@@ -980,6 +1082,12 @@ std::vector<std::vector<std::string>> fused_segments(const Net& topology) {
   return out;
 }
 
+std::vector<RoutedEdge> routed_edges(const Net& topology) {
+  std::vector<RoutedEdge> out;
+  collect_routed(topology, "net", {"input"}, out);
+  return out;
+}
+
 Entity* Network::adopt(std::unique_ptr<Entity> entity) {
   const MutexLock lock(reg_mu_);
   entities_.push_back(std::move(entity));
@@ -1026,10 +1134,10 @@ Entity* Network::instantiate(const Net& node, Entity* successor,
       return next;
     }
     case NetNode::Kind::Parallel:
-      return instantiate_bracketed(node, successor, prefix, "par", [&](Entity* merge_target) {
+      return instantiate_bracketed(node, successor, prefix, [&](Entity* merge_target) {
         // Nested non-deterministic parallels flatten into one N-ary
-        // dispatcher (see parallel_branches), so `A | B | C` costs one
-        // routing decision and one hop instead of a chain of binary ones.
+        // router (see parallel_branches), so `A | B | C` costs one routing
+        // decision instead of a chain of binary ones.
         // Det parallels keep their own entry/collector bracket and are
         // instantiated as opaque branches.
         const std::vector<ParallelBranch> leaves = parallel_branches(node, prefix);
@@ -1039,18 +1147,18 @@ Entity* Network::instantiate(const Net& node, Entity* successor,
           branches.push_back(ParallelEntity::Branch{
               required_input(b.net), instantiate(b.net, merge_target, b.path)});
         }
-        return adopt(std::make_unique<ParallelEntity>(*this, prefix + "/par",
+        return adopt(std::make_unique<ParallelEntity>(*this, combinator_path(node, prefix),
                                                       std::move(branches)));
       });
     case NetNode::Kind::Star:
-      return instantiate_bracketed(node, successor, prefix, "star", [&](Entity* exit_target) {
-        return adopt(std::make_unique<StarStageEntity>(*this, prefix + "/star", node,
-                                                       exit_target, 0));
+      return instantiate_bracketed(node, successor, prefix, [&](Entity* exit_target) {
+        return adopt(std::make_unique<StarStageEntity>(*this, combinator_path(node, prefix),
+                                                       node, exit_target, 0));
       });
     case NetNode::Kind::Split:
-      return instantiate_bracketed(node, successor, prefix, "split", [&](Entity* merge_target) {
-        return adopt(std::make_unique<SplitEntity>(*this, prefix + "/split", node,
-                                                   merge_target));
+      return instantiate_bracketed(node, successor, prefix, [&](Entity* merge_target) {
+        return adopt(std::make_unique<SplitEntity>(*this, combinator_path(node, prefix),
+                                                   node, merge_target));
       });
     case NetNode::Kind::Sync: {
       Entity* cell = adopt(
@@ -1066,17 +1174,18 @@ Entity* Network::instantiate(const Net& node, Entity* successor,
 }
 
 Entity* Network::instantiate_bracketed(const Net& node, Entity* successor,
-                                       const std::string& prefix, const char* kind,
+                                       const std::string& prefix,
                                        const std::function<Entity*(Entity*)>& build) {
   using detail::DetCollectorEntity;
   using detail::DetEntryEntity;
   if (!node->det) {
     return build(successor);
   }
-  auto* coll = static_cast<DetCollectorEntity*>(adopt(std::make_unique<DetCollectorEntity>(
-      *this, prefix + "/" + kind + "-coll", successor)));
-  auto* entry = static_cast<DetEntryEntity*>(adopt(std::make_unique<DetEntryEntity>(
-      *this, prefix + "/" + kind + "-entry", coll->scope())));
+  const std::string bracket = combinator_path(node, prefix);
+  auto* coll = static_cast<DetCollectorEntity*>(
+      adopt(std::make_unique<DetCollectorEntity>(*this, bracket + "-coll", successor)));
+  auto* entry = static_cast<DetEntryEntity*>(
+      adopt(std::make_unique<DetEntryEntity>(*this, bracket + "-entry", coll->scope())));
   entry->set_target(build(coll));
   return entry;
 }

@@ -299,6 +299,63 @@ void scenario_drr_flood(Sim& sim) {
   net.check_protocol_invariants(true);
 }
 
+/// Routers resolved by a producer while the replica they pick does not
+/// exist yet: a fan-out box emits, per input, a run of records sharing a
+/// fresh <k>, through `split(ident, <k>)` into a star whose stages each
+/// split by <k> again — so every first record of a <k> makes its producer
+/// instantiate a split replica (and, at each depth, a star stage) inside
+/// its own quantum, while inbox cap 1 stalls it on the replica it just
+/// built. Every record must come out exactly once, and each <k>'s run in
+/// emission order (one producer per <k>: the per-(producer, <k>) FIFO).
+void scenario_routed_instantiate(Sim& sim) {
+  Options o = sim_options(sim, /*quantum=*/2);
+  o.inbox_capacity = 1;
+  constexpr int kInputs = 3;
+  constexpr int kRun = 3;     // records per <k>
+  constexpr int kDepth = 2;   // star stages each record passes
+  const Net fan = box("fan", "(x) -> (x, <k>, <j>, <n>)",
+                      [](const BoxInput& in, BoxOutput& out) {
+                        for (int j = 0; j < kRun; ++j) {
+                          out.out(1, in.field("x"), std::int64_t{in.get<int>("x")},
+                                  std::int64_t{j}, std::int64_t{kDepth});
+                        }
+                      });
+  const Net down = box("down", "(<n>) -> (<n>) | (<done>)",
+                       [](const BoxInput& in, BoxOutput& out) {
+                         const std::int64_t n = in.tag("n");
+                         if (n > 1) {
+                           out.out(1, n - 1);
+                         } else {
+                           out.out(2, std::int64_t{1});
+                         }
+                       });
+  Network net(fan >> split(ident("id"), "k") >> star(split(down, "k"), "{<done>}"),
+              std::move(o));
+  const HookGuard hook(sim, net);
+  Session s = net.open_session();
+  for (int i = 0; i < kInputs; ++i) {
+    s.input().inject(int_rec(i));
+  }
+  s.close();
+  const auto out = s.output().collect();
+  expect(out.size() == static_cast<std::size_t>(kInputs * kRun),
+         "routed-instantiate lost or duplicated records: got " +
+             std::to_string(out.size()) + " of " + std::to_string(kInputs * kRun));
+  std::vector<int> next_j(kInputs, 0);
+  for (const Record& r : out) {
+    const auto k = static_cast<std::size_t>(r.tag(tag_label("k")));
+    expect(k < next_j.size() && x_of(r) == static_cast<int>(k),
+           "routed-instantiate delivered a foreign record");
+    expect(r.tag(tag_label("j")) == next_j[k],
+           "routed-instantiate reordered <k>=" + std::to_string(k) + ": got <j>=" +
+               std::to_string(r.tag(tag_label("j"))) + ", expected " +
+               std::to_string(next_j[k]));
+    ++next_j[k];
+  }
+  net.wait();
+  net.check_protocol_invariants(true);
+}
+
 struct Scenario {
   const char* name;
   void (*fn)(Sim&);
@@ -311,6 +368,7 @@ constexpr Scenario kScenarios[] = {
     {"sync-failfast", scenario_sync_failfast},
     {"drr-flood", scenario_drr_flood},
     {"fused-stall", scenario_fused_stall},
+    {"routed-instantiate", scenario_routed_instantiate},
 };
 
 }  // namespace

@@ -80,10 +80,10 @@ TEST(WithLoopAllocations, BoardPredicatesAllocateNothing) {
 TEST(WithLoopAllocations, FindMinTruesAllocatesOnlyItsCountsArray) {
   const Position p;
   std::optional<std::pair<int, int>> pos;
-  // The counts genarray: its Shape{N, N} argument, the Shape copy the
-  // result keeps, the shared buffer handle and the element storage.
+  // The counts genarray: the shared buffer handle and the element storage
+  // (shapes keep their extents inline).
   EXPECT_EQ(allocations_of([&] { pos = sudoku::find_min_trues(p.board, p.opts); }),
-            4U);
+            2U);
   EXPECT_TRUE(pos.has_value());
 }
 
@@ -95,11 +95,11 @@ TEST(WithLoopAllocations, AddNumberAllocatesOnlyCopyOnWriteClones) {
     ++k;
   }
   std::pair<sudoku::BoardArray, sudoku::OptsArray> next;
-  // Per argument (both are copies of `p`'s arrays): the copy's Shape, then
-  // the copy-on-write clone of the shared buffer — a handle and its storage.
+  // Per argument (both are copies of `p`'s arrays): the copy-on-write clone
+  // of the shared buffer — a handle and its storage.
   EXPECT_EQ(
       allocations_of([&] { next = sudoku::add_number(i, j, k, p.board, p.opts); }),
-      6U);
+      4U);
   EXPECT_EQ((next.first[{i, j}]), k);
 }
 
@@ -117,9 +117,9 @@ TEST(WithLoopAllocations, FourGeneratorModarrayAllocatesOnlyItsResult) {
               .gen({5, 0, 1}, {6, 5, 3}, axis(2))
               .modarray(src, sac::Context{1});
   };
-  // The result: its copy of `src`'s Shape, then the copy-on-write clone of
-  // the shared buffer — a handle and its storage.
-  EXPECT_EQ(allocations_of(call), 3U);
+  // The result: the copy-on-write clone of the shared buffer — a handle
+  // and its storage.
+  EXPECT_EQ(allocations_of(call), 2U);
   EXPECT_EQ((out[{2, 2, 3}]), -1);
   EXPECT_EQ((out[{5, 4, 2}]), 2);
   EXPECT_EQ((out[{0, 0, 3}]), 7);

@@ -317,3 +317,28 @@ TEST(FusionParallel, GeneratorlessChainHonoursContext) {
   EXPECT_LE(map_threads, 4U);
   EXPECT_LE(seen.size(), 4U);
 }
+
+TEST(FusionParallel, SparseGeneratorChainOffersThreadsChunks) {
+  // One 1×1 generator over a 256×64 root: almost every cell is complement.
+  // Above the grain the chain must still be cut into ctx.threads chunks —
+  // counted as the pool tasks beyond the chunk the caller runs itself —
+  // whatever share of the root its generators cover.
+  if (sac::sac_pool().size() < 2) {
+    GTEST_SKIP() << "needs a pool of at least 2 workers";
+  }
+  const Context ctx{4, 1};
+  const auto chain = With<int>()
+                         .gen({0, 0}, {1, 1}, [](const Index&) { return 7; })
+                         .lazy_genarray(Shape{256, 64}, 1)
+                         .map([](int v) { return v * 3; });
+  const auto ref = chain.to_array(kCompiled1);
+  const auto before = sac::sac_pool().tasks_executed();
+  const auto arr = chain.to_array(ctx);
+  const auto after_array = sac::sac_pool().tasks_executed();
+  const int sum = chain.fold(std::plus<>(), 0, ctx);
+  const auto after_fold = sac::sac_pool().tasks_executed();
+  EXPECT_EQ(arr, ref);
+  EXPECT_EQ(sum, chain.fold(std::plus<>(), 0, kCompiled1));
+  EXPECT_EQ(after_array - before, ctx.threads - 1U) << "to_array chunks - 1";
+  EXPECT_EQ(after_fold - after_array, ctx.threads - 1U) << "fold chunks - 1";
+}

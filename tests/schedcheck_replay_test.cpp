@@ -83,3 +83,12 @@ TEST(SchedcheckReplay, ChoiceLogReplayReproducesTheSchedule) {
   EXPECT_EQ(again.choices, ref.choices);
   EXPECT_EQ(again.steps, ref.steps);
 }
+
+TEST(SchedcheckReplay, RoutedInstantiatePinnedSchedule) {
+  const auto r = run_pinned("routed-instantiate", 31, SimExecutor::Strategy::kPct);
+  // Nine records through a split and two unfolding star stages at inbox
+  // cap 1: producers instantiate replicas while resolving their routers,
+  // then park on the inboxes they just created.
+  EXPECT_GT(r.steps, 20U) << "pinned schedule degenerated — re-pin the seed";
+  EXPECT_GE(r.suspensions, 1U) << "no producer ever stalled on a fresh replica";
+}

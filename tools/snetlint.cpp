@@ -15,14 +15,18 @@
 ///                   intentionally-broken example stays broken in exactly
 ///                   the intended ways
 ///
-/// Besides the diagnostics, the report lists every linear segment the
-/// runtime fuses (Network::instantiate runs each stage after a segment's
-/// first inline, see snet::serial_segments) as one line,
+/// Besides the diagnostics, the report lists every router with the
+/// entities that resolve it in their own thread (snet::routed_edges, see
+/// snet::Router), and every linear segment the runtime fuses
+/// (Network::instantiate runs each stage after a segment's first inline,
+/// see snet::serial_segments), one line each:
 ///
+///   routed: net/star/stage* <- net/filter, net/star/rep*/split[*]/box:solveOneLevelK
+///   routed: net/star/rep*/split <- net/star/stage*
 ///   fused: net/box:computeOpts -> net/filter
 ///
-/// with the stage names instantiate gives the entities; `*` stands for the
-/// star stage number or split tag value of replicas created on demand.
+/// with the names instantiate gives the entities; `*` stands for the star
+/// stage number or split tag value of replicas created on demand.
 ///
 /// Box *declarations* in the program are bound to no-op stubs: the lint
 /// needs only the declared signatures (coordination is data; computation
@@ -161,6 +165,14 @@ int main(int argc, char** argv) {
     }
 
     std::printf("network: %s\n", snet::describe(topology).c_str());
+    for (const auto& edge : snet::routed_edges(topology)) {
+      std::string line = "routed: " + edge.router + " <-";
+      for (std::size_t i = 0; i < edge.producers.size(); ++i) {
+        line += i == 0 ? " " : ", ";
+        line += edge.producers[i];
+      }
+      std::printf("%s\n", line.c_str());
+    }
     for (const auto& segment : snet::fused_segments(topology)) {
       std::string line = "fused: " + segment.front();
       for (std::size_t i = 1; i < segment.size(); ++i) {
