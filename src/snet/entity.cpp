@@ -341,67 +341,35 @@ void Entity::transfer(Entity* target, Record r) {
 Entity* Entity::resolve(Entity* target, const Record& r) {
   RouteTrail trail;
   try {
-    while (target->routes_) {
-      trail.size = 0;
-      target = Router::walk(target, r, trail);
-      Router::trace(trail, r);
-      count_routed(trail, false);
-    }
+    target = Router::walk(target, r, trail);
   } catch (...) {
-    Router::trace(trail, r);
-    count_routed(trail, true);
+    Router::note(trail, r, /*failed=*/true);
     net_.fail(std::current_exception());
     return nullptr;
   }
+  // Counted before the record is staged, so the counts are visible before
+  // anything the record's completion lets in (a quiescence-gated stats()).
+  Router::note(trail, r, /*failed=*/false);
   return target;
 }
 
-void Entity::count_routed(const RouteTrail& trail, bool failed) {
-  if (head_ != nullptr) {
-    // An inline stage's records are flushed by its head, so the head
-    // (whose role run_inline holds too) accumulates their counts.
-    head_->quantum_role_.assert_held();
-    head_->count_routed(trail, failed);
-    return;
-  }
-  for (std::size_t i = 0; i < trail.size; ++i) {
-    Router* const router = trail.hops[i];
-    auto it = std::find_if(routed_.begin(), routed_.end(),
-                           [router](const RoutedCount& c) { return c.router == router; });
-    if (it == routed_.end()) {
-      it = routed_.insert(routed_.end(), RoutedCount{router});
-    }
-    ++it->in;
-    if (!failed || i + 1 < trail.size) {
-      ++it->out;
-    }
-  }
-}
-
 Entity* Router::walk(Entity* target, const Record& r, RouteTrail& trail) {
-  while (target->routes_ && trail.size < RouteTrail::kMax) {
+  while (target->routes_) {
     auto* router = static_cast<Router*>(target);
-    trail.hops[trail.size++] = router;
+    trail.emplace_back(router);
     target = router->pick(r);
   }
   return target;
 }
 
-void Router::trace(const RouteTrail& trail, const Record& r) {
-  for (std::size_t i = 0; i < trail.size; ++i) {
-    Router* const router = trail.hops[i];
+void Router::note(const RouteTrail& trail, const Record& r, bool failed) {
+  for (std::size_t i = 0; i < trail.size(); ++i) {
+    Router* const router = trail[i];
     if (router->net_.tracing()) {
       router->net_.trace_record(*router, r);
     }
-  }
-}
-
-void Router::note(const RouteTrail& trail, const Record& r, bool failed) {
-  trace(trail, r);
-  for (std::size_t i = 0; i < trail.size; ++i) {
-    Router* const router = trail.hops[i];
     router->in_count_.fetch_add(1, std::memory_order_relaxed);
-    if (!failed || i + 1 < trail.size) {
+    if (!failed || i + 1 < trail.size()) {
       router->out_count_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -481,19 +449,9 @@ void Entity::live_delta_sub(SessionState* session) {
 }
 
 void Entity::flush_all() {
-  if (emit_pending_ == 0 && det_deltas_.empty() && live_deltas_.empty() &&
-      routed_.empty()) {
+  if (emit_pending_ == 0 && det_deltas_.empty() && live_deltas_.empty()) {
     return;
   }
-  // 0. The counts of the routers these records passed, before the records
-  //    become visible: a transferred record owes the network no consume
-  //    decrement of ours, so it may finish — and let a quiescence-gated
-  //    stats reader in — before this quantum ends.
-  for (const RoutedCount& c : routed_) {
-    c.router->in_count_.fetch_add(c.in, std::memory_order_relaxed);
-    c.router->out_count_.fetch_add(c.out, std::memory_order_relaxed);
-  }
-  routed_.clear();
   // 1. Emission-side increments, before any staged record becomes visible
   //    (a consumer finishing the record before our accounting lands would
   //    otherwise drain a group or the live count to zero transiently).

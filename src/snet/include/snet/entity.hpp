@@ -41,7 +41,6 @@
 ///    client's inject resolve it in the producer's own thread and stage
 ///    the record straight for the inbox-backed entity it picks.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -50,6 +49,7 @@
 
 #include "runtime/annotations.hpp"
 #include "runtime/mpsc_queue.hpp"
+#include "sacpp/small_vector.hpp"
 #include "snet/stream.hpp"
 
 namespace snet {
@@ -78,11 +78,7 @@ class Entity {
   bool deliver(Message m);
 
   /// The routers one resolution passed through, in order (see Router).
-  struct RouteTrail {
-    static constexpr std::size_t kMax = 8;
-    std::array<Router*, kMax> hops;
-    std::size_t size = 0;
-  };
+  using RouteTrail = sac::SmallVector<Router*, 8>;
 
   /// Bounded enqueue for client injection: refuses — leaving \p m intact
   /// — when the inbox is at capacity. On success the entity is scheduled
@@ -114,9 +110,6 @@ class Entity {
   /// det-group completion and synchrocell eviction of dead sessions.
   /// Thread-safe.
   void poke() { deliver(Message::poke()); }
-
-  /// True for a router: producers resolve it, nothing is delivered to it.
-  bool routes() const { return routes_; }
 
   std::uint64_t records_in() const { return in_count_.load(std::memory_order_relaxed); }
   std::uint64_t records_out() const { return out_count_.load(std::memory_order_relaxed); }
@@ -233,13 +226,10 @@ class Entity {
   void publish_counters() SNETSAC_REQUIRES(quantum_role_);
   /// Follows routers from \p target for \p r, in this thread, to the
   /// inbox-backed entity the record goes to; each router passed reports
-  /// and counts it. A router that throws fails the network with its
-  /// exception and yields null: the record is dropped.
+  /// and counts it before the record is staged. A router that throws fails
+  /// the network with its exception and yields null: the record is
+  /// dropped.
   Entity* resolve(Entity* target, const Record& r) SNETSAC_REQUIRES(quantum_role_);
-  /// Counts \p trail's records in and out of its routers (the last one in
-  /// only, when \p failed) in the segment head's accumulator, which
-  /// flush_all folds into the routers before it pushes anything.
-  void count_routed(const RouteTrail& trail, bool failed) SNETSAC_REQUIRES(quantum_role_);
 
   // --- batched emission (see file comment) ------------------------------
   // All of this is only touched by the single worker currently running
@@ -342,20 +332,9 @@ class Entity {
   /// a per-record RMW.
   std::uint64_t quantum_in_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
   std::uint64_t quantum_out_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
-  /// The records this entity (or, for a segment head, one of its inline
-  /// stages) routed through each router since the last flush: a router
-  /// has no quantum of its own, so its producers fold its counters for
-  /// it, once per flush, instead of every producer bumping the router's
-  /// shared atomics per record.
-  struct RoutedCount {
-    Router* router;
-    std::uint64_t in = 0;
-    std::uint64_t out = 0;
-  };
-  std::vector<RoutedCount> routed_ SNETSAC_GUARDED_BY(quantum_role_);
 
-  /// A router's are folded in by its producers' flushes (see routed_),
-  /// or bumped directly by an injecting client (Router::note).
+  /// A router has no quantum of its own: every producer that resolves it
+  /// bumps its counters directly (Router::note).
   std::atomic<std::uint64_t> in_count_{0};
   std::atomic<std::uint64_t> out_count_{0};
 
@@ -385,13 +364,11 @@ class Router : public Entity {
   /// Follows pick() from \p target while it names a router, appending
   /// each router to \p trail before asking it (so a router that throws is
   /// its last entry), and reports nothing. Returns the inbox-backed
-  /// entity reached, or the next router when the trail is full.
+  /// entity reached.
   static Entity* walk(Entity* target, const Record& r, RouteTrail& trail);
-  /// Reports \p r to the trace under every router of \p trail.
-  static void trace(const RouteTrail& trail, const Record& r);
-  /// trace(), then counts \p r in and out of each router of \p trail; with
-  /// \p failed, the last one threw and counts it in only. For a producer
-  /// outside any quantum (an injecting client).
+  /// Reports \p r to the trace under every router of \p trail, and counts
+  /// it in and out of each; with \p failed, the last one threw and counts
+  /// it in only.
   static void note(const RouteTrail& trail, const Record& r, bool failed);
 
  protected:

@@ -18,9 +18,10 @@
 /// to uncached matching — always correct, never unbounded memory.
 ///
 /// Two memo flavours share one table (`SharedTable`): `ShapeMemo` belongs
-/// to one entity, which at most one worker runs at a time; `SharedShapeMemo`
-/// belongs to a router (entity.hpp), which every producer consults from
-/// its own thread, concurrently — its hits take no lock.
+/// to one entity, which at most one worker runs at a time, and frees what
+/// it replaces; `SharedShapeMemo` belongs to a router (entity.hpp), which
+/// every producer consults from its own thread, concurrently — its hits
+/// take no lock.
 
 #include <atomic>
 #include <cstdint>
@@ -42,16 +43,23 @@ struct RouteTableBounds {
 
 /// Insert-only open-addressed map (linear probe, Fibonacci-mixed, load
 /// <= 1/2) behind every route memo and the split's replica map. One
-/// writer at a time — the owner serialises insert and clear — and any
-/// number of concurrent readers: a slot's key and value are written
-/// before its `full` flag is released, and are never written again, so
-/// find() is a few acquire loads and no lock. Growth copies into a table
-/// twice the size and publishes it; replaced tables (and those clear()
-/// drops) stay allocated until the map is destroyed, because a reader may
-/// still be probing them. Evictions are capped (RouteTableBounds), so that
-/// retention is bounded too. A returned value's address is therefore
-/// stable for the map's lifetime.
-template <class Key, class Value>
+/// writer at a time: the owner serialises insert and clear.
+///
+/// With \p kConcurrentReaders (a router's memo, the split's replica map),
+/// any number of readers may probe it at once: a slot's key and value are
+/// written before its `full` flag is released, and are never written
+/// again, so find() is a few acquire loads and no lock. Growth copies into
+/// a table twice the size and publishes it; replaced tables (and those
+/// clear() drops) stay allocated until the map is destroyed, because a
+/// reader may still be probing them. Evictions are capped
+/// (RouteTableBounds), so that retention is bounded too, and a returned
+/// value's address is stable for the map's lifetime.
+///
+/// Without it (the memo of one entity) the writer is the only reader:
+/// growth moves the entries and frees the replaced table, and clear()
+/// frees the table, so the map never holds more than one table. A
+/// returned address is stable until the next insert or clear.
+template <class Key, class Value, bool kConcurrentReaders = true>
 class SharedTable {
  public:
   SharedTable() = default;
@@ -92,10 +100,23 @@ class SharedTable {
   void clear() {
     current_.store(nullptr, std::memory_order_release);
     count_ = 0;
+    if constexpr (!kConcurrentReaders) {
+      tables_.clear();
+    }
   }
 
   /// Entries since the last clear; writer side (or quiescent).
   std::size_t size() const { return count_; }
+
+  /// Slots allocated, current and retained tables together; writer side
+  /// (or quiescent).
+  std::size_t slots_held() const {
+    std::size_t n = 0;
+    for (const auto& t : tables_) {
+      n += t->mask + 1;
+    }
+    return n;
+  }
 
  private:
   struct Slot {
@@ -122,22 +143,30 @@ class SharedTable {
     return t.slots[i];
   }
 
-  /// A table twice \p old's size holding its entries, published.
-  Table* grow(const Table* old) {
+  /// A table twice \p old's size holding its entries, published; \p old
+  /// is kept for concurrent readers, or else emptied and freed.
+  Table* grow(Table* old) {
     const std::size_t n = old == nullptr ? 16 : (old->mask + 1) * 2;
     auto fresh = std::make_unique<Table>(n);
     if (old != nullptr) {
       for (std::size_t i = 0; i <= old->mask; ++i) {
-        const Slot& s = old->slots[i];
+        Slot& s = old->slots[i];
         if (s.full.load(std::memory_order_relaxed)) {
           Slot& d = free_slot(*fresh, s.key);
           d.key = s.key;
-          d.value = s.value;
+          if constexpr (kConcurrentReaders) {
+            d.value = s.value;
+          } else {
+            d.value = std::move(s.value);
+          }
           d.full.store(true, std::memory_order_relaxed);
         }
       }
     }
     Table* raw = fresh.get();
+    if constexpr (!kConcurrentReaders) {
+      tables_.clear();
+    }
     tables_.push_back(std::move(fresh));
     current_.store(raw, std::memory_order_release);
     return raw;
@@ -145,7 +174,7 @@ class SharedTable {
 
   std::atomic<Table*> current_{nullptr};
   std::size_t count_ = 0;
-  std::vector<std::unique_ptr<Table>> tables_;  // current and retired
+  std::vector<std::unique_ptr<Table>> tables_;  // current, then retired
 };
 
 /// Per-shape memo table of one entity: one immutable value per record
@@ -197,11 +226,12 @@ class ShapeMemo {
   }
 
   std::size_t size() const { return table_.size(); }
+  std::size_t slots_held() const { return table_.slots_held(); }
   unsigned resets() const { return resets_; }
   bool caching_disabled() const { return disabled_; }
 
  private:
-  SharedTable<ShapeId, Value> table_;
+  SharedTable<ShapeId, Value, /*kConcurrentReaders=*/false> table_;
   std::size_t max_entries_;
   unsigned resets_ = 0;
   bool disabled_ = false;

@@ -328,14 +328,12 @@ bool Network::port_inject(SessionState& s, Record& r, bool block) {
       injected_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
-    if (!target->routes()) {  // else a chain deeper than the trail: stage it
-      Message m = Message::record(std::move(r));
-      if (target->try_deliver(m, trail)) {
-        injected_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      r = std::move(m.rec);
+    Message m = Message::record(std::move(r));
+    if (target->try_deliver(m, trail)) {
+      injected_.fetch_add(1, std::memory_order_relaxed);
+      return true;
     }
+    r = std::move(m.rec);
   }
   // A full staging queue is "full" for a non-blocking caller; a blocking
   // one waits for the dispatcher to forward its backlog (on an executor

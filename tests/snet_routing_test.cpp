@@ -202,6 +202,54 @@ TEST(Routing, RouterFailureOnTheInjectThreadFailsTheNetwork) {
   EXPECT_EQ(out_of(st, "net/par"), 0U);
 }
 
+TEST(Routing, ChainsLongerThanTheTrailsInlineRoomResolveInOneWalk) {
+  // kDeep nested splits on <k>: a record passes kDeep routers (each
+  // split's replica is the next split) before it reaches a box, more than
+  // a RouteTrail holds inline. The client's inject, the input dispatcher
+  // (a bounded entry refuses, so records are staged) and a box's send all
+  // walk the whole chain, and every router counts and reports each record.
+  constexpr int kDeep = 12;
+  constexpr int kRecords = 20;
+  const Net pass = box("pass", "(x, <k>) -> (x, <k>)", [](const BoxInput& in, BoxOutput& out) {
+    out.out(1, in.field("x"), in.tag("k"));
+  });
+  Net nested = pass;
+  for (int i = 0; i < kDeep; ++i) {
+    nested = split(nested, "k");
+  }
+  for (const bool behind_box : {false, true}) {
+    SCOPED_TRACE(behind_box ? "resolved by a box" : "resolved by the input");
+    std::mutex mu;
+    std::map<std::string, std::uint64_t> traced;
+    Options o;
+    o.inbox_capacity = 1;
+    o.trace = [&](const std::string& entity, const Record&) {
+      const std::lock_guard<std::mutex> lock(mu);
+      ++traced[entity];
+    };
+    Network net(behind_box ? pass >> nested : nested, std::move(o));
+    for (int i = 0; i < kRecords; ++i) {
+      Record r;
+      r.set_field(field_label("x"), make_value(i));
+      r.set_tag(tag_label("k"), i % 2);
+      net.input().inject(std::move(r));
+    }
+    net.input().close();
+    ASSERT_EQ(net.output().collect().size(), static_cast<std::size_t>(kRecords));
+    const NetworkStats st = net.stats();
+    std::uint64_t routed = 0;
+    for (const auto& e : st.entities) {
+      if (e.name.ends_with("/split")) {
+        routed += e.records_in;
+        EXPECT_EQ(e.records_out, e.records_in) << e.name;
+        EXPECT_EQ(traced[e.name], e.records_in) << e.name;
+      }
+    }
+    EXPECT_EQ(routed, static_cast<std::uint64_t>(kDeep * kRecords));
+    net.check_protocol_invariants(true);
+  }
+}
+
 TEST(Routing, LintReportsWhoResolvesEachRouter) {
   // The hop_stream shape: eight best-match branch filters, then a split
   // into linear filter/box runs.

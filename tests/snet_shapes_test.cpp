@@ -321,5 +321,23 @@ TEST(Shapes, ShapeMemoStaysBoundedAndFallsBackUnderChurn) {
   EXPECT_EQ(fills, before + 1);
 }
 
+TEST(Shapes, ShapeMemoFreesWhatItReplaces) {
+  // An entity's memo has no other reader, so neither growth nor an
+  // eviction may leave the replaced table allocated: at any point it holds
+  // one table, at most twice its entry cap (load <= 1/2), however often
+  // shape churn grows and evicts it.
+  const std::vector<Label> pool = label_pool();
+  const RecordType want = RecordType::of({"shp_f0"});
+  constexpr std::size_t kCap = 64;
+  detail::ShapeMemo<bool> memo(kCap);
+  for (unsigned seed = 0; !memo.caching_disabled(); ++seed) {
+    ASSERT_LT(seed, 2048U);
+    Record r = churn_record(pool, seed);
+    memo.get_or(r.shape(), [&] { return naive_matches(want, r); });
+    ASSERT_LE(memo.slots_held(), 2 * kCap) << "after " << seed + 1 << " shapes";
+  }
+  EXPECT_EQ(memo.slots_held(), 0U);
+}
+
 }  // namespace
 }  // namespace snet
