@@ -22,7 +22,7 @@ void OutputEntity::on_record(Record r) {
 void OutputEntity::on_quantum_end() {
   quantum_role_.assert_held();
   if (!staged_.empty()) {
-    net_.push_output_batch(staged_);
+    net_.sessions().push_output_batch(staged_);
   }
 }
 
@@ -37,7 +37,7 @@ void InputDispatchEntity::fire_released() {
 
 void InputDispatchEntity::drop_staged(SessionState* s) {
   while (auto r = s->staging_.try_pop_collect(released_)) {
-    net_.live_sub(s, 1);  // dropped: released/errored sessions owe nobody
+    net_.sessions().live_sub(s, 1);  // dropped: released/errored sessions owe nobody
   }
   fire_released();
 }
@@ -48,7 +48,7 @@ bool InputDispatchEntity::delist(SessionState* s) {
   // inject may bypass staging straight into the entry, and would overtake
   // records still sitting in our emit buffer.
   flush_all();
-  return net_.dispatch_delist(s);
+  return net_.sessions().delist(s);
 }
 
 void InputDispatchEntity::on_poke() {
@@ -61,7 +61,7 @@ void InputDispatchEntity::on_poke() {
   // is yielded between rounds. A turn the budget or a stall cuts short
   // keeps its session at the ring front with the rest of its deficit, so
   // the next poke finishes that turn before anyone else's starts.
-  net_.dispatch_take_ready(active_);
+  net_.sessions().take_ready(active_);
   const unsigned grant = net_.drr_grant();
   unsigned budget = grant * 4;
   // Turns are bounded separately from the record budget: a ring full of
@@ -79,7 +79,7 @@ void InputDispatchEntity::on_poke() {
     }
     if (s->throttled()) {
       // Interior (det/sync) account over its cap: pause this session's
-      // admission. dispatch_wake re-pokes us at the drain watermark; a
+      // admission. Interior re-lists it at the drain watermark; a
       // fresh inject after the delist re-lists too.
       if (!delist(s)) {
         active_.push_back(s);  // re-listed into our hands: keep it parked here
@@ -118,7 +118,7 @@ void InputDispatchEntity::on_poke() {
     return;  // the entry-credit resume re-enters here with the ring intact
   }
   // Self-poke only when some ring member is actually serviceable: a ring
-  // of throttled-only sessions waits for dispatch_wake instead of
+  // of throttled-only sessions waits for the un-throttle instead of
   // spinning poke → skip → poke.
   for (SessionState* s : active_) {
     if (!s->throttled()) {
@@ -346,10 +346,11 @@ Entity* StarStageEntity::unfold() {
   }
   // Demand-driven unfolding: materialise this stage's replica and the
   // next tap, then publish the replica's entry.
-  Entity* next = net_.adopt(
+  Topology& topology = net_.topology();
+  Entity* next = topology.adopt(
       std::make_unique<StarStageEntity>(net_, prefix_, node_, exit_target_, stage_ + 1));
   Entity* replica =
-      net_.instantiate(node_->child, next, prefix_ + "/rep" + std::to_string(stage_));
+      topology.instantiate(node_->child, next, prefix_ + "/rep" + std::to_string(stage_));
   replica_entry_.store(replica, std::memory_order_release);
   return replica;
 }
@@ -377,8 +378,8 @@ Entity* SplitEntity::pick(const Record& r) {
   if (Entity* const* replica = replicas_.find(v)) {
     return *replica;  // another producer instantiated it first
   }
-  Entity* entry =
-      net_.instantiate(node_->child, succ_, prefix_ + "[" + std::to_string(v) + "]");
+  Entity* entry = net_.topology().instantiate(node_->child, succ_,
+                                              prefix_ + "[" + std::to_string(v) + "]");
   return *replicas_.insert(v, entry);
 }
 
@@ -411,92 +412,24 @@ void DetCollectorEntity::on_record(Record r) {
   }
   const std::uint64_t seq = stack.back().seq;
   stack.pop_back();
-  SessionState* const session = r.session_state();
-  if (session != nullptr && session->errored()) {
-    // Fail-fast already hit this session: drop instead of buffering (the
-    // generic consume decrements in run_quantum retire the record).
-    return;
+  if (auto held = net_.interior().hold(std::move(r), *this)) {
+    buffer_[seq].push_back(std::move(*held));
   }
-  // Charge the record's session's interior account before buffering.
-  const bool within = net_.interior_admit(session);
-  if (!within && net_.overflow_policy() == OverflowPolicy::FailFast) {
-    net_.interior_release(session, 1);  // undo: the record is dropped
-    net_.fail_session(session,
-                      std::make_exception_ptr(SessionOverflowError(
-                          "det collector " + name() + " buffering for session " +
-                          std::to_string(session != nullptr ? session->id() : 0) +
-                          " exceeded Options::det_capacity")));
-    return;
-  }
-  // The record lives on in the buffer: keep it counted in every enclosing
-  // det group and in the network's live total (the generic consume
-  // decrements in run_quantum are compensated here).
-  for (const auto& s : stack) {
-    s.scope->adjust(s.seq, +1);
-  }
-  net_.live_add(session, 1);
-  Group& group = buffer_[seq];
-  if (!within) {
-    // Spill: throttle the session's input dispatch and keep accepting.
-    // The spilling latch keeps `primary` a strict prefix of the group's
-    // arrivals, so primary-then-overflow release preserves order.
-    net_.spill_session(session);
-    group.spilling = true;
-  }
-  if (group.spilling) {
-    if (wire::SpillStore* store = net_.spill_store()) {
-      try {
-        group.overflow.emplace_back(store->spill(r));
-        return;  // the record's memory is released; only the frame stays
-      } catch (const wire::WireError&) {
-        // Undecodable payload (no codec) or I/O trouble: keep this one in
-        // memory. The single overflow queue preserves arrival order
-        // across the mix.
-      }
-    }
-    net_.det_buffer_add(1);
-    group.overflow.emplace_back(std::move(r));
-    return;
-  }
-  net_.det_buffer_add(1);
-  group.primary.push_back(std::move(r));
-}
-
-Record DetCollectorEntity::take_front(Group& group) {
-  if (!group.primary.empty()) {
-    Record r = std::move(group.primary.front());
-    group.primary.pop_front();
-    net_.det_buffer_sub(1);
-    return r;
-  }
-  Spilled entry = std::move(group.overflow.front());
-  group.overflow.pop_front();
-  if (auto* frame = std::get_if<wire::SpillFrame>(&entry)) {
-    // Restored records carry pointer-exact det stamps and session
-    // identity (the store resolves them against its write-side tables).
-    return net_.spill_store()->restore(*frame);
-  }
-  net_.det_buffer_sub(1);
-  return std::move(std::get<Record>(entry));
 }
 
 void DetCollectorEntity::on_poke() {
   quantum_role_.assert_held();
-  release_ready();
-}
-
-void DetCollectorEntity::release_ready() {
-  // Stall-aware: a transfer into a congested successor requests a stall;
-  // we then park mid-group (the deque keeps the resume point) and the
-  // resume poke re-enters this loop once credit returns.
+  // Releases complete groups in sequence order. Stall-aware: a transfer
+  // into a congested successor requests a stall; we then park mid-group
+  // (the deque keeps the resume point) and the resume poke re-enters here.
   while (!stall_requested() && next_release_ < scope_.groups_opened() &&
          scope_.complete(next_release_)) {
     const auto it = buffer_.find(next_release_);
     if (it != buffer_.end()) {
-      Group& group = it->second;
+      std::deque<Held>& group = it->second;
       while (!group.empty() && !stall_requested()) {
-        Record rec = take_front(group);
-        net_.interior_release(rec.session_state(), 1);
+        Record rec = net_.interior().take(group.front());
+        group.pop_front();
         transfer(succ_, std::move(rec));
       }
       if (!group.empty()) {
@@ -514,43 +447,30 @@ SyncEntity::SyncEntity(Network& net, std::string name, Net node, Entity* success
     : Entity(net, std::move(name)), node_(std::move(node)), succ_(successor),
       slots_(node_->sync_patterns.size()) {}
 
-Record SyncEntity::take_slot(Slot& slot) {
-  Record stored;
-  if (slot.rec.has_value()) {
-    stored = std::move(*slot.rec);
-    net_.det_buffer_sub(1);
-  } else {
-    stored = net_.spill_store()->restore(*slot.frame);
-  }
-  slot.rec.reset();
-  slot.frame.reset();
+Record SyncEntity::consume(Slot& slot) {
+  Record stored = net_.interior().take(*slot.held);
+  slot.held.reset();
   slot.session = nullptr;
+  for (const auto& st : stored.det_stack()) {
+    st.scope->adjust(st.seq, -1);
+  }
+  net_.sessions().live_sub(stored.session_state(), 1);
   return stored;
 }
 
 void SyncEntity::on_poke() {
   quantum_role_.assert_held();
-  // Poked by fail_session / port_release: evict slots whose owning
-  // session died. The stored record's accounting (det stamps, interior
-  // charge, liveness) is unwound exactly as a merge-consume would, so
-  // the dead session can drain to zero and the network can quiesce.
-  // The cached owner pointer keeps the liveness test cheap; a disk-backed
+  // Poked by fail_session / release: evict slots whose owning session
+  // died. The stored record is consumed exactly as a merge would, so the
+  // dead session can drain to zero and the network can quiesce. The
+  // cached owner pointer keeps the liveness test cheap; a disk-backed
   // slot is only restored (then discarded) when it actually needs
   // unwinding — its det stamps live in the spill file.
   for (auto& slot : slots_) {
-    if (!slot.filled()) {
-      continue;
-    }
     SessionState* const s = slot.session;
-    if (s == nullptr || (!s->errored() && !s->abandoned())) {
-      continue;
+    if (slot.filled() && s != nullptr && (s->errored() || s->abandoned())) {
+      consume(slot);
     }
-    const Record stored = take_slot(slot);
-    for (const auto& st : stored.det_stack()) {
-      st.scope->adjust(st.seq, -1);
-    }
-    net_.interior_release(s, 1);
-    net_.live_sub(s, 1);
   }
 }
 
@@ -592,46 +512,10 @@ void SyncEntity::on_record(Record r) {
         // tenant filling synchrocell slots across many replicas is the
         // same adversarial buffering a det collector sees.
         SessionState* const session = r.session_state();
-        if (session != nullptr && (session->errored() || session->abandoned())) {
-          // Failed fast or released: drop instead of storing — a dead
-          // tenant must not leave ghost contributions in shared cells
-          // (nor hold its own liveness in a slot nobody will complete).
-          return;
+        if (auto held = net_.interior().hold(std::move(r), *this)) {
+          slots_[i].held = std::move(held);
+          slots_[i].session = session;
         }
-        bool over_cap = false;
-        if (!net_.interior_admit(session)) {
-          if (net_.overflow_policy() == OverflowPolicy::FailFast) {
-            net_.interior_release(session, 1);
-            net_.fail_session(session,
-                              std::make_exception_ptr(SessionOverflowError(
-                                  "synchrocell " + name() + " storage for session " +
-                                  std::to_string(session != nullptr ? session->id()
-                                                                    : 0) +
-                                  " exceeded Options::det_capacity")));
-            return;
-          }
-          net_.spill_session(session);
-          over_cap = true;
-        }
-        // Store; compensate the generic consume accounting (the record
-        // survives inside the cell).
-        for (const auto& s : r.det_stack()) {
-          s.scope->adjust(s.seq, +1);
-        }
-        net_.live_add(session, 1);
-        slots_[i].session = session;
-        if (over_cap) {
-          if (wire::SpillStore* store = net_.spill_store()) {
-            try {
-              slots_[i].frame = store->spill(r);
-              return;  // parked on disk; restored at merge/eviction
-            } catch (const wire::WireError&) {
-              // No codec / I/O trouble: keep the contribution in memory.
-            }
-          }
-        }
-        net_.det_buffer_add(1);
-        slots_[i].rec = std::move(r);
         return;
       }
       // This record completes the cell: merge all stored records into it
@@ -641,7 +525,10 @@ void SyncEntity::on_record(Record r) {
         if (!slot.filled()) {
           continue;
         }
-        const Record stored = take_slot(slot);
+        // The stored record is consumed here. (A record stored by session
+        // A may complete a cell fired by session B: the merged record
+        // belongs to B — synchrocells join across sessions by design.)
+        const Record stored = consume(slot);
         for (const auto& [label, value] : stored.fields()) {
           if (!merged.has_field(label)) {
             merged.set_field(label, value);
@@ -652,15 +539,6 @@ void SyncEntity::on_record(Record r) {
             merged.set_tag(label, value);
           }
         }
-        // The stored record is consumed now: undo its storage accounting.
-        // (A record stored by session A may complete a cell fired by
-        // session B: the merged record belongs to B, A's contribution is
-        // consumed here — synchrocells join across sessions by design.)
-        for (const auto& s : stored.det_stack()) {
-          s.scope->adjust(s.seq, -1);
-        }
-        net_.interior_release(stored.session_state(), 1);
-        net_.live_sub(stored.session_state(), 1);
       }
       fired_ = true;
       send(succ_, std::move(merged));

@@ -89,10 +89,15 @@ bool Entity::try_deliver(Message& m, const RouteTrail& via) {
     Router::note(via, m.rec, false);
     net_.trace_record(*this, m.rec);
     inbox_.push(std::move(m));
-  } else if (inbox_.try_push(m)) {
-    Router::note(via, m.rec, false);  // untraced: counts only, m.rec unread
   } else {
-    return false;
+    // Untraced: counts only. Counted before the push, so a consumer that
+    // finishes the record at once cannot complete the network ahead of
+    // the counts; a refusal takes them back.
+    Router::note(via, m.rec, false);
+    if (!inbox_.try_push(m)) {
+      Router::unnote(via);
+      return false;
+    }
   }
   schedule_after_push();
   return true;
@@ -152,7 +157,7 @@ void Entity::run_quantum(unsigned max_messages) {
     try {
       on_poke();
     } catch (...) {
-      net_.fail(std::current_exception());
+      net_.sessions().fail(std::current_exception());
     }
   }
   if (batch_pos_ >= batch_.size()) {
@@ -172,7 +177,7 @@ void Entity::run_quantum(unsigned max_messages) {
       try {
         on_poke();
       } catch (...) {
-        net_.fail(std::current_exception());
+        net_.sessions().fail(std::current_exception());
       }
       continue;
     }
@@ -190,7 +195,7 @@ void Entity::run_quantum(unsigned max_messages) {
     try {
       on_record(std::move(r));
     } catch (...) {
-      net_.fail(std::current_exception());
+      net_.sessions().fail(std::current_exception());
     }
     // Consume decrements coalesce into the flush accumulators; they are
     // applied in flush_all() *after* this batch's emissions are pushed,
@@ -211,14 +216,13 @@ void Entity::run_quantum(unsigned max_messages) {
   try {
     on_quantum_end();
   } catch (...) {
-    net_.fail(std::current_exception());
+    net_.sessions().fail(std::current_exception());
   }
-  // Publish the quantum's counter deltas — this entity's and its inline
-  // stages' — in relaxed RMWs instead of one per record, *before*
-  // flush_all: the flush applies the live-count decrements that let a
-  // quiescence-gated stats reader proceed, so the counters must already be
-  // visible by then.
-  publish_counters();
+  // Publish the inline stages' counter deltas in relaxed RMWs instead of
+  // one per record, *before* flush_all: the flush applies the live-count
+  // decrements that let a quiescence-gated stats reader proceed, so the
+  // counters must already be visible by then. flush_all publishes this
+  // entity's own.
   for (Entity* stage : fused_) {
     const snetsac::runtime::RoleGuard stage_role(stage->quantum_role_);
     stage->publish_counters();
@@ -306,7 +310,7 @@ void Entity::run_inline(Entity& stage, Record r) {
   try {
     stage.on_record(std::move(r));
   } catch (...) {
-    net_.fail(std::current_exception());
+    net_.sessions().fail(std::current_exception());
   }
 }
 
@@ -344,7 +348,7 @@ Entity* Entity::resolve(Entity* target, const Record& r) {
     target = Router::walk(target, r, trail);
   } catch (...) {
     Router::note(trail, r, /*failed=*/true);
-    net_.fail(std::current_exception());
+    net_.sessions().fail(std::current_exception());
     return nullptr;
   }
   // Counted before the record is staged, so the counts are visible before
@@ -360,6 +364,13 @@ Entity* Router::walk(Entity* target, const Record& r, RouteTrail& trail) {
     target = router->pick(r);
   }
   return target;
+}
+
+void Router::unnote(const RouteTrail& trail) {
+  for (Router* const router : trail) {
+    router->in_count_.fetch_sub(1, std::memory_order_relaxed);
+    router->out_count_.fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 void Router::note(const RouteTrail& trail, const Record& r, bool failed) {
@@ -449,6 +460,10 @@ void Entity::live_delta_sub(SessionState* session) {
 }
 
 void Entity::flush_all() {
+  // Own counters first, flush or not: a record transferred mid-quantum
+  // (the input dispatcher, a det collector's release) can complete the
+  // network in this flush, before the quantum ends.
+  publish_counters();
   if (emit_pending_ == 0 && det_deltas_.empty() && live_deltas_.empty()) {
     return;
   }
@@ -463,11 +478,11 @@ void Entity::flush_all() {
       }
     }
   } catch (...) {
-    net_.fail(std::current_exception());
+    net_.sessions().fail(std::current_exception());
   }
   for (LiveDelta& l : live_deltas_) {
     if (l.add != 0) {
-      net_.live_add(l.session, l.add);
+      net_.sessions().live_add(l.session, l.add);
       l.add = 0;
     }
   }
@@ -495,12 +510,12 @@ void Entity::flush_all() {
       }
     }
   } catch (...) {
-    net_.fail(std::current_exception());
+    net_.sessions().fail(std::current_exception());
   }
   det_deltas_.clear();
   for (LiveDelta& l : live_deltas_) {
     if (l.sub != 0) {
-      net_.live_sub(l.session, l.sub);
+      net_.sessions().live_sub(l.session, l.sub);
     }
   }
   live_deltas_.clear();

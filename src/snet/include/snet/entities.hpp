@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "snet/box.hpp"
@@ -22,7 +21,6 @@
 #include "snet/network.hpp"
 #include "snet/router.hpp"
 #include "snet/shapes.hpp"
-#include "snet/wire.hpp"
 
 namespace snet::detail {
 
@@ -30,7 +28,7 @@ namespace snet::detail {
 /// It never waits and never refuses: every record is buffered in (or
 /// pushed to the sink of) its session, in arrival order. A session whose
 /// output credit account is exhausted is held back at its own inject gate
-/// (Network::port_inject), so this shared entity never head-of-line
+/// (SessionTable::inject), so this shared entity never head-of-line
 /// blocks one session behind another.
 class OutputEntity final : public Entity {
  public:
@@ -42,7 +40,7 @@ class OutputEntity final : public Entity {
 
  private:
   /// Records staged across the quantum, handed to
-  /// Network::push_output_batch in one buffer-lock acquisition at quantum
+  /// SessionTable::push_output_batch in one buffer-lock acquisition at quantum
   /// end (on_quantum_end runs before run_quantum's flush retires the
   /// records' live counts, so staged records are never dead). Worker-only.
   std::vector<Record> staged_ SNETSAC_GUARDED_BY(quantum_role_);
@@ -54,7 +52,7 @@ class OutputEntity final : public Entity {
 /// arrival order — a hot tenant's backlog waits in its own staging queue
 /// while lighter tenants' records keep being admitted. Receives no
 /// records, only pokes (new listing, staging credit, un-throttle); the
-/// listing handshake lives in Network::dispatch_list/dispatch_take_ready.
+/// listing handshake lives in SessionTable::list/take_ready.
 class InputDispatchEntity final : public Entity {
  public:
   InputDispatchEntity(Network& net, Entity* entry)
@@ -69,7 +67,7 @@ class InputDispatchEntity final : public Entity {
   /// Fires staging-queue credit waiters collected during a turn.
   void fire_released() SNETSAC_REQUIRES(quantum_role_);
   /// Flushes the forwarded records into the entry, then delists \p s
-  /// (Network::dispatch_delist's contract).
+  /// (SessionTable::delist's contract).
   bool delist(SessionState* s) SNETSAC_REQUIRES(quantum_role_);
 
   Entity* entry_;
@@ -213,21 +211,14 @@ class DetEntryEntity final : public Entity {
   Entity* target_ = nullptr;
 };
 
-/// Exit of a deterministic region: buffers records per group and releases
+/// Exit of a deterministic region: holds records per group and releases
 /// groups strictly in sequence order once they have drained upstream.
 /// Under backpressure a release pauses mid-group (the deque keeps the
 /// resume point) and continues when the downstream credit returns — the
-/// resume poke re-enters release_ready even with an empty inbox.
-///
-/// Buffering is charged against the record's session
-/// (Options::det_capacity): over the cap, the overflow policy either
-/// spills the record — to the network's disk spill store when
-/// `Options::spill_to_disk` is on (the record's memory is released; only a
-/// 12-byte frame handle stays), to the group's in-memory overflow queue
-/// otherwise — and throttles the session's input dispatch (Spill —
-/// ordering preserved: once a group spills, all its later records spill
-/// too, and release drains primary before overflow, overflow in arrival
-/// order), or errors exactly the offending session (FailFast).
+/// resume poke re-enters on_poke even with an empty inbox. Records
+/// are held through Interior::hold (the per-session cap, its overflow
+/// policy and the disk spill), in arrival order whether in memory or on
+/// disk.
 class DetCollectorEntity final : public Entity {
  public:
   DetCollectorEntity(Network& net, std::string name, Entity* successor);
@@ -239,42 +230,19 @@ class DetCollectorEntity final : public Entity {
   void on_poke() override;
 
  private:
-  /// An overflow entry: on disk (the common case with spill_to_disk) or
-  /// in memory (throttle-only mode, or a payload with no wire codec).
-  /// One queue for both keeps arrival order across the mix.
-  using Spilled = std::variant<Record, wire::SpillFrame>;
-
-  /// One det group's buffered output. `spilling` latches on first
-  /// overflow so primary stays a strict prefix of the group's arrivals.
-  struct Group {
-    std::deque<Record> primary;
-    std::deque<Spilled> overflow;
-    bool spilling = false;
-
-    bool empty() const { return primary.empty() && overflow.empty(); }
-  };
-
-  /// Pops the group's next record in arrival order, restoring it from the
-  /// spill file when the front entry is a disk frame, and keeping the
-  /// in-memory gauge (Network::det_buffer_*) in step.
-  Record take_front(Group& group) SNETSAC_REQUIRES(quantum_role_);
-
-  void release_ready() SNETSAC_REQUIRES(quantum_role_);
-
   DetScope scope_;
   Entity* succ_;
-  std::map<std::uint64_t, Group> buffer_ SNETSAC_GUARDED_BY(quantum_role_);
+  /// Each open det group's held records, in arrival order.
+  std::map<std::uint64_t, std::deque<Held>> buffer_ SNETSAC_GUARDED_BY(quantum_role_);
   std::uint64_t next_release_ SNETSAC_GUARDED_BY(quantum_role_) = 0;
 };
 
 /// Synchrocell: stores one record per pattern; when all patterns are
-/// filled, emits the merged record and becomes the identity. Storage is
-/// charged to the record's session (Options::det_capacity), and a poke
-/// evicts slots stored by sessions that were failed fast or released —
-/// a dead tenant's contribution must not hold the shared cell (and its
-/// own liveness) forever. A record stored over the cap under the Spill
-/// policy is serialized to the network's spill store (when enabled) and
-/// restored at merge/eviction time.
+/// filled, emits the merged record and becomes the identity. Storage goes
+/// through Interior::hold like a det collector's, and a poke evicts slots
+/// stored by sessions that were failed fast or released — a dead
+/// tenant's contribution must not hold the shared cell (and its own
+/// liveness) forever.
 class SyncEntity final : public Entity {
  public:
   SyncEntity(Network& net, std::string name, Net node, Entity* successor);
@@ -284,15 +252,14 @@ class SyncEntity final : public Entity {
   void on_poke() override;
 
  private:
-  /// One pattern's stored contribution: in memory or parked on disk.
-  /// `session` is cached so the eviction sweep can test owner liveness
-  /// without restoring disk-backed slots.
+  /// One pattern's stored contribution. `session` is cached so the
+  /// eviction sweep can test owner liveness without restoring a slot
+  /// parked on disk.
   struct Slot {
-    std::optional<Record> rec;
-    std::optional<wire::SpillFrame> frame;
+    std::optional<Held> held;
     SessionState* session = nullptr;
 
-    bool filled() const { return rec.has_value() || frame.has_value(); }
+    bool filled() const { return held.has_value(); }
   };
 
   /// Pattern indices whose *type* matches records of a given shape, as a
@@ -301,9 +268,9 @@ class SyncEntity final : public Entity {
   std::uint64_t slot_type_matches(const Record& r)
       SNETSAC_REQUIRES(quantum_role_);
 
-  /// Moves the slot's record out (restoring from disk if parked) and
-  /// clears the slot. The stored record's accounting is NOT unwound here.
-  Record take_slot(Slot& slot) SNETSAC_REQUIRES(quantum_role_);
+  /// Empties \p slot and retires its record as consumed (its live count
+  /// and det stamps); returns the record for merging.
+  Record consume(Slot& slot) SNETSAC_REQUIRES(quantum_role_);
 
   Net node_;
   Entity* succ_;

@@ -31,7 +31,7 @@
 ///    the entity, so order and accounting survive suspensions, and
 ///  * linear-segment fusion: an *inline stage* (a box or filter whose only
 ///    producer is its left neighbour in a fused serial segment, see
-///    Network::instantiate and serial_segments) has no live inbox. A send
+///    Topology::instantiate and serial_segments) has no live inbox. A send
 ///    into it runs its on_record inside the producer's quantum, and its
 ///    own emissions go to the segment head's buffers and accumulators, so
 ///    the record between two stages costs a call, not an entity hop, and
@@ -222,7 +222,8 @@ class Entity {
   /// as it would have in the stage's own quantum.
   void run_inline(Entity& stage, Record r) SNETSAC_REQUIRES(quantum_role_);
   /// Folds the records in/out counted since the last publish into the
-  /// atomic counters stats() reads.
+  /// atomic counters stats() reads (flush_all does it for the entity's
+  /// own, run_quantum for its inline stages).
   void publish_counters() SNETSAC_REQUIRES(quantum_role_);
   /// Follows routers from \p target for \p r, in this thread, to the
   /// inbox-backed entity the record goes to; each router passed reports
@@ -370,6 +371,9 @@ class Router : public Entity {
   /// it in and out of each; with \p failed, the last one threw and counts
   /// it in only.
   static void note(const RouteTrail& trail, const Record& r, bool failed);
+  /// Takes back the counts of a successful note() whose record was then
+  /// refused.
+  static void unnote(const RouteTrail& trail);
 
  protected:
   Router(Network& net, std::string name) : Entity(net, std::move(name), RouterTag{}) {}

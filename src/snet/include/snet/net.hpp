@@ -110,7 +110,7 @@ struct ParallelBranch {
 /// steps; deterministic parallels below the top stay opaque branches.
 /// Best-match over the merged branches picks the same winners as the
 /// binary cascade (a combined branch's score is the max over its variants
-/// and argmax is associative). `Network::instantiate`, `fused_segments`
+/// and argmax is associative). `Topology::instantiate`, `fused_segments`
 /// and `verify` all walk parallels through this one function.
 std::vector<ParallelBranch> parallel_branches(const Net& par,
                                               const std::string& prefix);

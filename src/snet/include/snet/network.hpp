@@ -21,41 +21,31 @@
 /// reaches zero after the session's input was closed (dynamic unfolding
 /// makes static EOS flooding awkward; counting is robust against it).
 ///
-/// Resource bounds are *per tenant*: `Options::inbox_capacity` bounds the
-/// interior entity inboxes (credit-based backpressure, see entity.hpp) and
-/// each session's input staging queue; `Options::output_capacity` is a
-/// per-session output credit account, so a slow reader throttles only its
-/// own injects while other sessions keep streaming; sessions carry DRR
-/// weights (`SessionOptions::weight`) honoured by the input dispatcher so
-/// a hot tenant cannot monopolise entry bandwidth; and
-/// `Options::det_capacity` caps per-session det-collector/synchrocell
-/// buffering with a Spill-or-FailFast overflow policy.
+/// A Network is a façade over three components: the Topology (the
+/// entities and their names, topology.hpp), the SessionTable (ports, DRR
+/// listing, output demux, live counts and failure, session.hpp) and the
+/// Interior (records held by det collectors and synchrocells, under the
+/// per-session Options::det_capacity, interior.hpp). Entities call the
+/// component that owns the state they touch.
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "runtime/annotations.hpp"
 #include "runtime/env.hpp"
 #include "snet/check.hpp"
 #include "snet/entity.hpp"
+#include "snet/interior.hpp"
 #include "snet/net.hpp"
 #include "snet/scheduler.hpp"
 #include "snet/session.hpp"
+#include "snet/topology.hpp"
 
 namespace snet {
-
-namespace wire {
-class SpillStore;  // wire.hpp; the disk half of OverflowPolicy::Spill
-}  // namespace wire
 
 /// Runtime type errors (no parallel branch matches, split tag missing...).
 class NetTypeError : public std::runtime_error {
@@ -241,41 +231,6 @@ struct NetworkStats {
   std::uint64_t records_in_containing(std::string_view needle) const;
 };
 
-/// Linear-segment fusion plan of a serial chain: the leaves of \p serial
-/// (nested serials flattened), in order, cut into the segments
-/// Network::instantiate builds. A maximal run of box/filter leaves splits
-/// into segments holding at most one box (`f b f b f` → `[f b f][b f]`);
-/// every other leaf is a segment of its own. Every stage after a segment's
-/// first is an inline stage of it: it runs inside the first's quanta, so
-/// a filter never costs an entity hop, while box→box edges and the edges
-/// into a synchrocell or det bracket keep their inbox (routers have none
-/// to keep, see Router).
-std::vector<std::vector<Net>> serial_segments(const Net& serial);
-
-/// The fused segments (two or more stages) of \p topology, each as the
-/// entity names instantiate gives its stages, head first, computed with
-/// serial_segments. Names follow the default instantiation; stages inside
-/// replicas created on demand carry `*` where the runtime puts the star
-/// stage number or the split tag value.
-std::vector<std::vector<std::string>> fused_segments(const Net& topology);
-
-/// One router of a topology and the entities that resolve it in their own
-/// thread (see Router): `input` for the client's inject and the input
-/// dispatcher, a router for the one it picks next, and otherwise the
-/// entities whose output feeds it.
-struct RoutedEdge {
-  std::string router;
-  std::vector<std::string> producers;
-};
-
-/// The routers of \p topology with their producers, named as
-/// Network::instantiate names them (through the same naming functions,
-/// serial_segments and parallel_branches); `*` stands for a star stage
-/// number or a split tag value. Every parallel, star and split has a
-/// router; a det one is fed by its bracket's entry and exits through its
-/// collector.
-std::vector<RoutedEdge> routed_edges(const Net& topology);
-
 class Network {
  public:
   explicit Network(Net topology, Options opts = {});
@@ -320,219 +275,38 @@ class Network {
   /// per-operation inline checks are what SNETSAC_CHECKED gates); valid at
   /// *safe points* only — between entity quanta, after wait(), or while
   /// the network is idle — because the laws are stated over multi-lock
-  /// snapshots. Checks, per live session: output credit account ==
-  /// buffered output records; live/interior/account counters
-  /// non-negative; with \p expect_quiescent, that live records
-  /// and open sessions are exactly zero; and that no staging queue holds
-  /// registered credit waiters below the release watermark (a lost
-  /// wakeup: credit exists, nobody was notified).
+  /// snapshots. Each component checks its own: SessionTable::check (output
+  /// credit, live counts, quiescence, staging wakeups), Interior::check
+  /// (interior accounts) and Topology::check (inbox wakeups).
   void check_protocol_invariants(bool expect_quiescent) const;
 
-  // ------- runtime-internal interface (used by entities/ports) ---------
+  // ------- runtime-internal interface (entities and components) -------
+  Topology& topology() { return topology_; }
+  SessionTable& sessions() { return sessions_; }
+  Interior& interior() { return interior_; }
+  const Options& options() const { return opts_; }
   Scheduler& scheduler() { return *sched_; }
-  /// The capabilities SessionState's guarded fields alias (session state
-  /// lives under the network's locks; see SessionState::out_mu_).
-  snetsac::runtime::Mutex& output_mutex() SNETSAC_RETURN_CAPABILITY(out_mu_) {
-    return out_mu_;
-  }
-  snetsac::runtime::Mutex& dispatch_mutex()
-      SNETSAC_RETURN_CAPABILITY(dispatch_mu_) {
-    return dispatch_mu_;
-  }
-  void live_add(SessionState* session, std::int64_t n = 1);
-  void live_sub(SessionState* session, std::int64_t n = 1);
-
-  /// Delivers a whole quantum's staged output to the sessions under
-  /// one buffer-lock acquisition with one client wakeup: each record goes
-  /// to its session's sink or buffer (charging the output account), or is
-  /// dropped when its session was released or failed. Never refuses.
-  /// \p records is left empty.
-  void push_output_batch(std::vector<Record>& records);
-
-  /// Per-session interior (det/sync) buffering account: charges one
-  /// record; false when the session is now over Options::det_capacity —
-  /// the caller applies the overflow policy via spill_session /
-  /// fail_session (or undoes the charge with interior_release).
-  bool interior_admit(SessionState* s);
-  /// Releases \p n interior charges; un-throttles the session (and pokes
-  /// the input dispatcher) once it drains below the watermark.
-  void interior_release(SessionState* s, std::int64_t n = 1);
-  OverflowPolicy overflow_policy() const { return opts_.det_overflow; }
-  /// The per-network disk spill store (wire.hpp), shared by every det
-  /// collector and synchrocell; null when Options::spill_to_disk is off —
-  /// callers then keep overflow records in memory (throttle-only mode).
-  wire::SpillStore* spill_store() { return spill_store_.get(); }
-  /// In-memory interior buffering gauge (det-collector groups + sync
-  /// slots): charged when a record is held in memory, not when its bytes
-  /// are on disk. Feeds NetworkStats::det_buffered{,_peak}.
-  void det_buffer_add(std::int64_t n);
-  void det_buffer_sub(std::int64_t n);
-  /// Spill policy: pauses the session's input dispatch until its interior
-  /// account drains below the watermark, and counts the spilled record.
-  void spill_session(SessionState* s);
-  /// FailFast policy: errors exactly this session — its ports rethrow
-  /// \p err, its staged and buffered records are dropped, siblings
-  /// unaffected.
-  void fail_session(SessionState* s, std::exception_ptr err);
-
   void note_suspension() { suspensions_.fetch_add(1, std::memory_order_relaxed); }
   std::size_t inbox_capacity() const { return opts_.inbox_capacity; }
   /// DRR grant per weight unit per turn at the input dispatcher.
   unsigned drr_grant() const { return opts_.quantum; }
-  void fail(std::exception_ptr err);
   bool tracing() const { return static_cast<bool>(opts_.trace); }
   void trace_record(const Entity& target, const Record& r);
-  /// Instantiates a (sub)topology whose output feeds \p successor; returns
-  /// the entry entity. Thread-safe (star/split call this while running).
-  Entity* instantiate(const Net& node, Entity* successor, const std::string& prefix);
-  /// Instantiates a parallel, star or split whose router
-  /// `build(merge_target)` creates. A det combinator is bracketed: the
-  /// collector `<prefix>/<kind>-coll` (feeding \p successor; kind is par,
-  /// star or split) is the merge target, and the entry
-  /// `<prefix>/<kind>-entry`, which forwards to the router, becomes the
-  /// combinator's entry.
-  Entity* instantiate_bracketed(const Net& node, Entity* successor,
-                                const std::string& prefix,
-                                const std::function<Entity*(Entity*)>& build);
-  /// Registers an entity; returns a stable raw pointer owned by the net.
-  Entity* adopt(std::unique_ptr<Entity> entity);
-
-  // ------- input-dispatch interface (used by InputDispatchEntity) ------
-  /// Moves newly listed sessions (pending input) into \p out.
-  void dispatch_take_ready(std::deque<SessionState*>& out);
-  /// Dispatcher-side delist after observing an empty staging queue.
-  /// Returns false when a concurrent inject re-listed the session into the
-  /// caller's hands — the caller keeps it on its active ring.
-  bool dispatch_delist(SessionState* s);
-
-  // ------- port-internal interface (used by InputPort/OutputPort) ------
-  /// The one admission routine behind inject, try_inject and inject_all:
-  /// stamps \p r with the session and hands it to the entry (or the
-  /// session's staging queue). Where the output credit account or the
-  /// staging queue is full it waits when \p block, else returns false
-  /// with \p r handed back untouched.
-  bool port_inject(SessionState& s, Record& r, bool block);
-  void port_close(SessionState& s);
-  std::optional<Record> port_next(SessionState& s);
-  /// Moves the session's entire output buffer into \p out under one lock,
-  /// releasing the whole credit span at once (the batch analogue of
-  /// repeated port_next pops on a non-empty buffer). Returns the number
-  /// of records appended; never blocks.
-  std::size_t port_drain(SessionState& s, std::vector<Record>& out);
-  void port_on_output(SessionState& s, std::function<void(Record)> callback);
-  /// Session-handle destruction: closes the input, discards unconsumed
-  /// output, wakes injects gated on it, and reclaims the state if
-  /// the session has fully drained (else it is marked abandoned and
-  /// future outputs are dropped). \p s must not be used afterwards.
-  void port_release(SessionState& s);
 
  private:
-  SessionState* new_session_state(std::uint32_t id, SessionOptions opts);
-  /// The lazily created default session (id 0).
-  SessionState* default_state();
-  /// Pops the front of \p s's buffer and releases output credit.
-  /// \p crossed reports whether the pop crossed the credit bound — the
-  /// caller notifies *after* dropping out_mu_.
-  Record pop_output_locked(SessionState& s, bool& crossed)
-      SNETSAC_REQUIRES(out_mu_);
-  /// Lists \p s with the input dispatcher (idempotent) and pokes it when
-  /// the listing is new.
-  void dispatch_list(SessionState* s);
-  /// dispatch_list + an unconditional poke: used by un-throttle and
-  /// release/fail paths, where the session may already be listed (parked
-  /// on the dispatcher's ring) and the dispatcher still needs the nudge.
-  void dispatch_wake(SessionState* s);
-  /// The output credit gate: true once \p s's account has room. At the
-  /// bound a non-blocking caller gets false; a blocking one waits through
-  /// help_until and rethrows if the network or the session fails.
-  bool await_output_account(SessionState& s, bool block);
-  /// Waits (through help_until) until \p s's staging queue releases
-  /// credit. On network/session failure it first returns the live charge
-  /// of the record the caller holds, then rethrows.
-  void await_staging_credit(SessionState& s);
-  /// The network's first error, else \p s's fail-fast error, else null.
-  std::exception_ptr failure_locked(SessionState& s) const
-      SNETSAC_REQUIRES(out_mu_);
-  /// Rethrows failure_locked(s), if any.
-  void rethrow_failure(SessionState& s) const;
-  /// Pokes every synchrocell so slots stored by dead (errored/released)
-  /// sessions are evicted (see SyncEntity::on_poke).
-  void poke_sync_entities();
-
-  Net topology_;
+  Net topology_net_;
   Options opts_;
   NetSignature signature_;
   /// The executor every quantum and cooperative wait goes through
   /// (Options::executor, defaulting to the global work-stealing pool).
   snetsac::runtime::ExecutorIface& exec_;
-
-  mutable snetsac::runtime::Mutex reg_mu_;
-  std::vector<std::unique_ptr<Entity>> entities_ SNETSAC_GUARDED_BY(reg_mu_);
-  /// Synchrocell instances: fail_session and port_release poke them so
-  /// slots stored by a dead session are evicted instead of holding its
-  /// liveness forever.
-  std::vector<Entity*> sync_entities_ SNETSAC_GUARDED_BY(reg_mu_);
-
+  /// Declared first so it is destroyed last: entities outlive the
+  /// scheduler (stopped in ~Network) and the session states.
+  Topology topology_;
   std::unique_ptr<Scheduler> sched_;
-  Entity* entry_ = nullptr;
-  Entity* dispatch_ = nullptr;
-
-  std::atomic<std::int64_t> live_{0};
-  std::atomic<std::int64_t> peak_live_{0};
-  std::atomic<std::int64_t> det_buffered_{0};
-  std::atomic<std::int64_t> det_buffered_peak_{0};
-  /// Created at construction when the Spill policy may engage
-  /// (spill_to_disk && det_capacity > 0); the file itself is lazy.
-  std::unique_ptr<wire::SpillStore> spill_store_;
-  std::atomic<std::uint64_t> injected_{0};
+  SessionTable sessions_;
+  Interior interior_;
   std::atomic<std::uint64_t> suspensions_{0};
-  /// Lock-free mirror of `error_ != nullptr` so producers blocked on
-  /// entry credit can observe a failure without taking out_mu_.
-  std::atomic<bool> failed_{false};
-
-  /// Live sessions by id, guarded by out_mu_. A session is erased (and
-  /// freed) when its handle is released *and* its records have drained —
-  /// records carry raw SessionState pointers, and live > 0 guarantees
-  /// the pointee survives (the last consumer's decrement never touches
-  /// the state afterwards, see live_sub).
-  std::unordered_map<std::uint32_t, std::unique_ptr<SessionState>> sessions_
-      SNETSAC_GUARDED_BY(out_mu_);
-  std::atomic<SessionState*> default_session_{nullptr};
-  std::uint64_t sessions_opened_ SNETSAC_GUARDED_BY(out_mu_) = 0;  // monotone
-  std::atomic<std::uint32_t> next_session_id_{1};
-  std::atomic<std::int64_t> open_sessions_{0};
-
-  /// Input-credit handshake for blocking inject on a full staging queue.
-  mutable snetsac::runtime::Mutex in_mu_;
-  snetsac::runtime::CondVar in_cv_;
-  std::uint64_t in_credit_epoch_ SNETSAC_GUARDED_BY(in_mu_) = 0;
-
-  /// Sessions newly listed for input dispatch (handed to the DRR
-  /// dispatcher by dispatch_take_ready). Ordered before out_mu_ when both
-  /// are needed.
-  mutable snetsac::runtime::Mutex dispatch_mu_;
-  std::vector<SessionState*> dispatch_ready_ SNETSAC_GUARDED_BY(dispatch_mu_);
-  /// Sessions currently listed (staged backlog anywhere). While zero,
-  /// injects may bypass the staging queue and deliver straight to the
-  /// entry — the DRR detour costs nothing until there is actual
-  /// contention to arbitrate. The dispatcher flushes a session's
-  /// forwarded records into the entry before it delists the session, so
-  /// a zero is only observed once every record staged before it is in the
-  /// entry's inbox: a bypassing inject never overtakes its own session's
-  /// earlier records. A stale zero read by a concurrent injector can only
-  /// let a record pass records of *other* sessions, which have no order
-  /// to keep against it.
-  std::atomic<std::int64_t> listed_count_{0};
-
-  mutable snetsac::runtime::Mutex out_mu_;
-  snetsac::runtime::CondVar out_cv_;
-  std::uint64_t produced_ SNETSAC_GUARDED_BY(out_mu_) = 0;  // all sessions
-  std::exception_ptr error_ SNETSAC_GUARDED_BY(out_mu_);
-
-  bool done_locked() const {
-    return open_sessions_.load(std::memory_order_acquire) == 0 &&
-           live_.load(std::memory_order_acquire) == 0;
-  }
 };
 
 }  // namespace snet

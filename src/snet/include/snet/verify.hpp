@@ -22,7 +22,7 @@
 ///    argmax set for any reachable type. Branch scoring goes through
 ///    `detail::ParallelRouter::tied_for`, the same argmax collection the
 ///    runtime router compiles per shape, over the same flattened branch
-///    list `Network::instantiate` builds — so a statically-dead branch is
+///    list `Topology::instantiate` builds — so a statically-dead branch is
 ///    one the runtime can provably never route a record of any reachable
 ///    lower-bound type to.
 ///  * `NeverFiringSync` — a synchrocell with a pattern slot no reachable
@@ -88,7 +88,7 @@ const char* to_string(LintSeverity severity);
 struct LintDiagnostic {
   LintCode code;
   LintSeverity severity;
-  /// Combinator path in `Network::instantiate` naming, e.g.
+  /// Combinator path in `Topology::instantiate` naming, e.g.
   /// "net/parL/parR/sync" — the entity the runtime would build for this
   /// tree position (star replicas appear as "star/rep*": one static
   /// verdict covers every unfolded stage).

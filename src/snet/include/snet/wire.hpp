@@ -20,9 +20,7 @@
 /// exactly as they do in memory.
 ///
 /// Three consumers:
-///  * `WireWriter`/`WireReader` — streaming append + incremental decode,
-///    plus random-access *group* frames (a keyed batch of records that can
-///    be read back independently after a scan);
+///  * `WireWriter`/`WireReader` — streaming append + incremental decode;
 ///  * the snapshot/replay harness (`tools/snetrec`) —
 ///    record an InputPort stream during any run, replay it byte-identically;
 ///  * `SpillStore` — the disk half of `OverflowPolicy::Spill`: det
@@ -125,8 +123,7 @@ struct ReadTables;
 
 /// Streaming writer: header on construction, then `record()` appends —
 /// definition chunks (shapes, codecs, scopes) are emitted automatically
-/// before their first use. `group()` writes a keyed random-access frame.
-/// `finish()` writes the end-of-stream marker; a stream without one reads
+/// before their first use. `finish()` writes the end-of-stream marker; a stream without one reads
 /// back as "possibly still growing" (see WireReader::at_clean_end).
 class WireWriter {
  public:
@@ -138,9 +135,6 @@ class WireWriter {
 
   /// Appends one record chunk (streaming mode).
   void record(const Record& r);
-  /// Appends a group frame holding \p records under \p key; returns the
-  /// frame's file offset (the seek target for random access).
-  std::uint64_t group(std::uint64_t key, const std::vector<Record>& records);
   /// Writes the end-of-stream chunk and flushes. Idempotent.
   void finish();
 
@@ -150,17 +144,13 @@ class WireWriter {
   std::ostream& out_;
   std::unique_ptr<detail::Encoder> enc_;
   std::uint64_t records_ = 0;
-  std::uint64_t bytes_written_ = 0;  // after the header
   bool finished_ = false;
 };
 
 // --------------------------------------------------------------- reader
 
-/// Incremental decoder over a wire stream. `next()` yields records in
-/// stream order (group frames are entered transparently); `groups()` lists
-/// the group frames seen so far, and `read_group()` random-accesses one
-/// (requires a seekable stream). `scan()` fast-forwards through the whole
-/// stream building the group index without decoding record bodies.
+/// Incremental decoder over a wire stream: `next()` yields records in
+/// stream order, skipping chunks it does not know.
 class WireReader {
  public:
   explicit WireReader(std::istream& in, Resolvers resolvers = {});
@@ -179,23 +169,6 @@ class WireReader {
   /// boundary without a marker — truncated-or-growing, caller's policy.
   bool at_clean_end() const { return clean_end_; }
 
-  struct GroupInfo {
-    std::uint64_t key = 0;
-    std::uint64_t offset = 0;  ///< file offset of the group's chunk header
-    std::uint32_t count = 0;   ///< records in the frame
-  };
-
-  /// Group frames encountered so far (next()/scan() populate this).
-  const std::vector<GroupInfo>& groups() const { return groups_; }
-
-  /// Indexes the remaining stream — definition chunks are processed,
-  /// record bodies skipped — so every group becomes random-accessible.
-  void scan();
-
-  /// Random access: decodes one previously indexed group frame. The
-  /// stream position of the in-order cursor is preserved.
-  std::vector<Record> read_group(const GroupInfo& info);
-
  private:
   friend class SpillStore;
   std::istream& in_;
@@ -203,10 +176,6 @@ class WireReader {
   Resolvers resolvers_;
   bool clean_end_ = false;
   bool header_done_ = false;
-  std::vector<GroupInfo> groups_;
-  /// Records of the group frame currently being drained by next().
-  std::vector<Record> pending_;
-  std::size_t pending_pos_ = 0;
 };
 
 /// Reads every record of a finished stream; throws WireError when the

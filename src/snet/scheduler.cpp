@@ -75,7 +75,7 @@ void Scheduler::run_one(Entity* entity) {
   Entity* current = entity;
   int chained = 0;
   while (current != nullptr) {
-    // run_quantum never throws (entity errors are routed to Network::fail),
+    // run_quantum never throws (entity errors are routed to SessionTable::fail),
     // so the bookkeeping below is unconditionally reached.
     current->run_quantum(quantum_);
     std::vector<Entity*> batch;

@@ -96,7 +96,7 @@ bool accepts_variant(const MultiType& input, const RecordType& produced) {
 
 /// Per-run analysis state. Post-pass bookkeeping is keyed by tree-position
 /// path (a subtree Net may be shared between two positions; paths are
-/// unique per position and match the entity names `Network::instantiate`
+/// unique per position and match the entity names `Topology::instantiate`
 /// would mint).
 struct Ctx {
   std::vector<LintDiagnostic> diags;
@@ -190,7 +190,7 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
     case NetNode::Kind::Serial:
       return flow(n->right, flow(n->left, incoming, path, ctx), path, ctx);
     case NetNode::Kind::Parallel: {
-      // The flattened branch list `Network::instantiate` builds.
+      // The flattened branch list `Topology::instantiate` builds.
       const std::vector<ParallelBranch> branches = parallel_branches(n, path);
       const std::string dpath = path + "/par";
       auto [it, fresh] = ctx.parallels.try_emplace(dpath);

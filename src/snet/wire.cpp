@@ -44,7 +44,7 @@ enum ChunkTag : std::uint8_t {
   kCodecDef = 0x02,
   kScopeDef = 0x03,
   kRecord = 0x04,
-  kGroup = 0x05,
+  // 0x05 is reserved (docs/WIRE_FORMAT.md §5): readers skip it as unknown.
   kEnd = 0x7F,
 };
 
@@ -383,27 +383,6 @@ class Encoder {
     put_chunk(out, kRecord, body);
   }
 
-  /// Definition chunks into \p defs, the group chunk itself into \p chunk.
-  void group_chunk(std::uint64_t key, const std::vector<Record>& records,
-                   std::string& defs, std::string& chunk) {
-    if (records.size() > 0xFFFFFFFFull) {
-      throw WireError("group record count exceeds the u32 bound");
-    }
-    std::string payload;
-    put<std::uint64_t>(payload, key);
-    put<std::uint32_t>(payload, static_cast<std::uint32_t>(records.size()));
-    for (const Record& r : records) {
-      std::string body;
-      record_body(r, defs, body);
-      if (body.size() > 0xFFFFFFFFull) {
-        throw WireError("group record body exceeds the 4 GiB frame bound");
-      }
-      put<std::uint32_t>(payload, static_cast<std::uint32_t>(body.size()));
-      payload += body;
-    }
-    put_chunk(chunk, kGroup, payload);
-  }
-
   // In-process side tables for pointer-exact restore (SpillStore).
   DetScope* scope_ptr(std::uint32_t index) const {
     return index < scope_ptrs_.size() ? scope_ptrs_[index] : nullptr;
@@ -706,23 +685,8 @@ void WireWriter::record(const Record& r) {
   }
   std::string buf;
   enc_->record_chunk(r, buf);
-  bytes_written_ = bytes_written_ + write_all(out_, buf);
+  write_all(out_, buf);
   ++records_;
-}
-
-std::uint64_t WireWriter::group(std::uint64_t key,
-                                const std::vector<Record>& records) {
-  if (finished_) {
-    throw WireError("group() after finish()");
-  }
-  std::string defs;
-  std::string chunk;
-  enc_->group_chunk(key, records, defs, chunk);
-  bytes_written_ += write_all(out_, defs);
-  const std::uint64_t offset = kHeaderSize + bytes_written_;
-  bytes_written_ += write_all(out_, chunk);
-  records_ += records.size();
-  return offset;
 }
 
 void WireWriter::finish() {
@@ -731,7 +695,7 @@ void WireWriter::finish() {
   }
   std::string buf;
   put_chunk(buf, kEnd, std::string());
-  bytes_written_ += write_all(out_, buf);
+  write_all(out_, buf);
   out_.flush();
   finished_ = true;
 }
@@ -751,15 +715,11 @@ namespace {
 struct RawChunk {
   std::uint8_t tag = 0;
   std::string payload;
-  std::uint64_t offset = 0;  // of the chunk header; 0 if unseekable
 };
 
 std::optional<RawChunk> read_chunk(std::istream& in) {
   RawChunk chunk;
   const auto pos = in.tellg();
-  chunk.offset = pos == std::streampos(-1)
-                     ? 0
-                     : static_cast<std::uint64_t>(std::streamoff(pos));
   char hdr[kChunkHeaderSize];
   in.read(hdr, sizeof hdr);
   const auto got = in.gcount();
@@ -795,14 +755,6 @@ std::optional<RawChunk> read_chunk(std::istream& in) {
 }  // namespace
 
 std::optional<Record> WireReader::next() {
-  if (pending_pos_ < pending_.size()) {
-    Record r = std::move(pending_[pending_pos_++]);
-    if (pending_pos_ == pending_.size()) {
-      pending_.clear();
-      pending_pos_ = 0;
-    }
-    return r;
-  }
   if (clean_end_) {
     return std::nullopt;
   }
@@ -823,29 +775,6 @@ std::optional<Record> WireReader::next() {
         return decode_record_body(chunk->payload.data(),
                                   chunk->payload.size(), *tables_,
                                   resolvers_);
-      case kGroup: {
-        Cursor cur{chunk->payload.data(),
-                   chunk->payload.data() + chunk->payload.size(),
-                   "group frame"};
-        const auto key = cur.get<std::uint64_t>("group key");
-        const auto count = cur.get<std::uint32_t>("group record count");
-        groups_.push_back(GroupInfo{key, chunk->offset, count});
-        pending_.clear();
-        pending_pos_ = 0;
-        pending_.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto len = cur.get<std::uint32_t>("group record length");
-          cur.need(len, "group record body");
-          pending_.push_back(
-              decode_record_body(cur.p, len, *tables_, resolvers_));
-          cur.p += len;
-        }
-        cur.done();
-        if (pending_.empty()) {
-          continue;  // empty frame, keep scanning
-        }
-        return pending_[pending_pos_++];
-      }
       case kEnd:
         if (!chunk->payload.empty()) {
           throw WireError("end-of-stream chunk carries a payload");
@@ -858,67 +787,6 @@ std::optional<Record> WireReader::next() {
         continue;
     }
   }
-}
-
-void WireReader::scan() {
-  if (!header_done_) {
-    check_header(in_);
-    header_done_ = true;
-  }
-  while (!clean_end_) {
-    auto chunk = read_chunk(in_);
-    if (!chunk) {
-      return;
-    }
-    if (apply_definition(chunk->tag, chunk->payload, *tables_)) {
-      continue;
-    }
-    if (chunk->tag == kGroup) {
-      Cursor cur{chunk->payload.data(),
-                 chunk->payload.data() + chunk->payload.size(),
-                 "group frame"};
-      const auto key = cur.get<std::uint64_t>("group key");
-      const auto count = cur.get<std::uint32_t>("group record count");
-      groups_.push_back(GroupInfo{key, chunk->offset, count});
-    } else if (chunk->tag == kEnd) {
-      clean_end_ = true;
-    }
-    // Record bodies (and unknown tags) are skipped without decoding.
-  }
-}
-
-std::vector<Record> WireReader::read_group(const GroupInfo& info) {
-  in_.clear();
-  const auto saved = in_.tellg();
-  if (saved == std::streampos(-1)) {
-    throw WireError("read_group requires a seekable stream");
-  }
-  in_.seekg(static_cast<std::streamoff>(info.offset));
-  auto chunk = read_chunk(in_);
-  in_.seekg(saved);
-  if (!chunk || chunk->tag != kGroup) {
-    throw WireError("offset " + std::to_string(info.offset) +
-                    " does not hold a group frame");
-  }
-  Cursor cur{chunk->payload.data(),
-             chunk->payload.data() + chunk->payload.size(), "group frame"};
-  const auto key = cur.get<std::uint64_t>("group key");
-  if (key != info.key) {
-    throw WireError("group frame key mismatch: stream has " +
-                    std::to_string(key) + ", index says " +
-                    std::to_string(info.key));
-  }
-  const auto count = cur.get<std::uint32_t>("group record count");
-  std::vector<Record> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto len = cur.get<std::uint32_t>("group record length");
-    cur.need(len, "group record body");
-    out.push_back(decode_record_body(cur.p, len, *tables_, resolvers_));
-    cur.p += len;
-  }
-  cur.done();
-  return out;
 }
 
 std::vector<Record> read_all(std::istream& in, Resolvers resolvers) {

@@ -155,6 +155,14 @@ TEST(Routing, ManyProducersThroughSharedRouters) {
 
       // Every router's stats row counts exactly the records it routed.
       const NetworkStats st = net.stats();
+      // The input dispatcher's transfers are all counted by the time the
+      // network quiesces, mid-quantum flushes included (inbox cap 1
+      // flushes after every record): one per forwarded record.
+      std::uint64_t forwarded = 0;
+      for (const SessionStats& row : st.session_stats) {
+        forwarded += row.forwarded;
+      }
+      EXPECT_EQ(out_of(st, "input"), forwarded);
       EXPECT_EQ(in_of(st, "net/par"), kTotal);
       EXPECT_EQ(out_of(st, "net/par"), kTotal);
       EXPECT_EQ(in_of(st, "net/split"), kTotal);

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/sim_executor.hpp"
 #include "snet/network.hpp"
 #include "snet/value.hpp"
 
@@ -756,6 +757,36 @@ TEST(Session, SyncStorageChargesTheInteriorAccount) {
   // The {a} record stored in the shared cell is evicted when its session
   // fails fast (its accounting unwound), so the network still quiesces.
   net.wait();
+}
+
+TEST(Session, ReleasedSessionsRecordsAreNeverHeldByADetCollector) {
+  // One admission rule for everything that holds records inside the
+  // network: a det collector drops a released session's records on
+  // arrival, as a synchrocell does, instead of buffering output nobody
+  // can consume. On a SimExecutor nothing runs until the network is
+  // driven, so every record reaches the collector after the release.
+  for (const bool replicated : {false, true}) {
+    SCOPED_TRACE(replicated ? "split_det" : "parallel_det");
+    snetsac::runtime::SimExecutor sim(snetsac::runtime::SimExecutor::Options{});
+    Options o;
+    o.executor = &sim;
+    Network net(replicated ? split_det(ident("id"), "k")
+                           : parallel_det(ident("L"), ident("R")),
+                std::move(o));
+    {
+      Session s = net.open_session();
+      for (int i = 0; i < 8; ++i) {
+        Record r = int_rec(i);
+        r.set_tag(tag_label("k"), i % 3);
+        s.input().inject(std::move(r));
+      }
+    }  // released with all eight records still in flight
+    net.wait();
+    const NetworkStats st = net.stats();
+    EXPECT_EQ(st.det_buffered_peak, 0);
+    EXPECT_EQ(st.produced, 0U);
+    net.check_protocol_invariants(true);
+  }
 }
 
 TEST(Session, ReleasedSessionsSyncSlotIsEvictedAndNetworkQuiesces) {

@@ -18,7 +18,7 @@
 /// Besides the diagnostics, the report lists every router with the
 /// entities that resolve it in their own thread (snet::routed_edges, see
 /// snet::Router), and every linear segment the runtime fuses
-/// (Network::instantiate runs each stage after a segment's first inline,
+/// (Topology::instantiate runs each stage after a segment's first inline,
 /// see snet::serial_segments), one line each:
 ///
 ///   routed: net/star/stage* <- net/filter, net/star/rep*/split[*]/box:solveOneLevelK

@@ -53,7 +53,7 @@ usage:
       serialized outputs with the expected stream.
 
   snetrec dump <stream.swire>
-      List header, shapes, groups and records of a stream.
+      List the records of a stream and whether it ends cleanly.
 
   snetrec --help
       This text.
@@ -206,12 +206,7 @@ int cmd_dump(const std::string& path) {
     }
     std::cout << "\n";
   }
-  for (const auto& g : reader.groups()) {
-    std::cout << "group key=" << g.key << " offset=" << g.offset
-              << " records=" << g.count << "\n";
-  }
-  std::cout << n << " record(s), " << reader.groups().size()
-            << " group frame(s), "
+  std::cout << n << " record(s), "
             << (reader.at_clean_end() ? "clean end" : "NO end marker — "
                                                       "truncated or still "
                                                       "being written")
