@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -152,12 +151,6 @@ class Array {
     return static_cast<T>((*data_)[static_cast<std::size_t>(shape_.linearize(iv))]);
   }
 
-  /// Braced-index selection, `a[{i, j}]`, without an Index allocation.
-  T operator[](std::initializer_list<std::int64_t> iv) const {
-    return static_cast<T>(
-        (*data_)[static_cast<std::size_t>(shape_.linearize(iv.begin(), iv.size()))]);
-  }
-
   /// Row-major element access without index math.
   T linear(std::int64_t offset) const {
     return static_cast<T>((*data_)[static_cast<std::size_t>(offset)]);
@@ -168,8 +161,6 @@ class Array {
   Array sel(const Index& prefix) const {
     const int plen = static_cast<int>(prefix.size());
     const Shape sub = shape_.suffix(plen);
-    // Linearise the prefix against the leading axes directly; padding it to
-    // a full index would allocate just to append zeros.
     std::int64_t base = 0;
     for (int a = 0; a < plen; ++a) {
       const std::int64_t c = prefix[static_cast<std::size_t>(a)];
@@ -194,12 +185,6 @@ class Array {
   /// engine and for single-cell updates such as `board[i,j] = k`).
   void set(const Index& iv, T value) {
     const std::int64_t off = shape_.linearize(iv);
-    ensure_unique();
-    (*data_)[static_cast<std::size_t>(off)] = static_cast<storage_type>(value);
-  }
-
-  void set(std::initializer_list<std::int64_t> iv, T value) {
-    const std::int64_t off = shape_.linearize(iv.begin(), iv.size());
     ensure_unique();
     (*data_)[static_cast<std::size_t>(off)] = static_cast<storage_type>(value);
   }

@@ -141,7 +141,7 @@ Array<T> take(std::int64_t n, const Array<T>& a) {
   const std::int64_t ext = a.shape().extent(0);
   const std::int64_t cnt = std::min(std::abs(n), ext);
   const std::int64_t start = n >= 0 ? 0 : ext - cnt;
-  Shape::Dims dims = a.shape().dims();
+  Index dims = a.shape().dims();
   dims[0] = cnt;
   const Shape out_shape(std::move(dims));
   const std::int64_t row = a.shape().suffix(1).element_count();
@@ -162,7 +162,7 @@ Array<T> drop(std::int64_t n, const Array<T>& a) {
   const std::int64_t cnt = std::min(std::abs(n), ext);
   const std::int64_t remain = ext - cnt;
   const std::int64_t start = n >= 0 ? cnt : 0;
-  Shape::Dims dims = a.shape().dims();
+  Index dims = a.shape().dims();
   dims[0] = remain;
   const Shape out_shape(std::move(dims));
   const std::int64_t row = a.shape().suffix(1).element_count();

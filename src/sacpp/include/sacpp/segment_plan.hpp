@@ -27,38 +27,20 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <initializer_list>
-#include <iterator>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "sacpp/shape.hpp"
-#include "sacpp/small_vector.hpp"
 
 namespace sac {
-
-/// Small-buffer index vector for generator bounds. With-loop specs are
-/// built afresh at every call site — sudoku's addNumber constructs four
-/// generators per invocation — so bounds of rank <= 4 (every array in the
-/// paper) live inline; larger ranks spill.
-class SpecIndex : public SmallVector<std::int64_t, 4> {
- public:
-  using SmallVector::SmallVector;
-  // Implicit on purpose: Index-typed call sites keep working unchanged.
-  SpecIndex(const Index& vals) : SmallVector(vals.begin(), vals.end()) {}
-};
-
-inline std::string index_to_string(const SpecIndex& iv) {
-  return index_to_string(Index(iv.begin(), iv.end()));
-}
 
 /// Body-less view of one with-loop generator (bounds + striding only); the
 /// typed layer keeps bodies parallel to this by ordinal.
 struct GeneratorSpec {
-  SpecIndex lb;
-  SpecIndex ub;  // exclusive
-  SpecIndex step;   // empty = dense
-  SpecIndex width;  // empty = 1
+  Index lb;
+  Index ub;     // exclusive
+  Index step;   // empty = dense
+  Index width;  // empty = 1
 };
 
 /// Exact member-cell count of \p g: per axis, the positions in [lb, ub)
@@ -82,43 +64,29 @@ inline std::int64_t member_count(const GeneratorSpec& g) {
   return n;
 }
 
-/// Outer-axis scratch up to this rank lives on the stack; deeper ranks
-/// spill to the heap.
-inline constexpr std::size_t kMaxStackRank = 8;
-
 /// The striding odometer: calls `run(pre, col_lo, col_hi)` for every
 /// contiguous last-axis run of generator \p g, in row-major order. `pre`
-/// holds the rank-1 outer-axis components during each call (raw stack
-/// storage, so small loops stay allocation-free); a rank-0 generator is the
-/// single run [0, 1). Striding must be validated first.
+/// points at the rank-1 outer-axis components during each call; a rank-0
+/// generator is the single run [0, 1). Striding must be validated first.
 template <class RunFn>
 void walk_runs(const GeneratorSpec& g, const RunFn& run) {
   const std::size_t rank = g.lb.size();
-  std::int64_t pre_buf[kMaxStackRank] = {};
-  std::vector<std::int64_t> deep;
-  std::int64_t* pre = pre_buf;
+  const std::size_t last = rank == 0 ? 0 : rank - 1;
+  Index pre(g.lb.begin(), g.lb.begin() + last);
   if (rank == 0) {
-    run(static_cast<const std::int64_t*>(pre), std::int64_t{0}, std::int64_t{1});
+    run(std::as_const(pre).data(), std::int64_t{0}, std::int64_t{1});
     return;
-  }
-  const std::size_t last = rank - 1;
-  if (last > kMaxStackRank) {
-    deep.resize(last);
-    pre = deep.data();
   }
   const std::int64_t lb_l = g.lb[last];
   const std::int64_t ub_l = g.ub[last];
   const std::int64_t st_l = g.step.empty() ? 0 : g.step[last];
   const std::int64_t wd_l = g.width.empty() ? 1 : (st_l ? g.width[last] : 1);
-  for (std::size_t a = 0; a < last; ++a) {
-    pre[a] = g.lb[a];
-  }
   while (true) {
     if (st_l == 0) {
-      run(static_cast<const std::int64_t*>(pre), lb_l, ub_l);
+      run(std::as_const(pre).data(), lb_l, ub_l);
     } else {
       for (std::int64_t s = lb_l; s < ub_l; s += st_l) {
-        run(static_cast<const std::int64_t*>(pre), s, std::min(s + wd_l, ub_l));
+        run(std::as_const(pre).data(), s, std::min(s + wd_l, ub_l));
       }
     }
     // Advance the outer-axis odometer (axis last-1 fastest), honouring
@@ -208,7 +176,7 @@ class SegmentPlan {
 
  private:
   void decompose_generator(std::int32_t ordinal, const GeneratorSpec& g,
-                           const std::vector<std::int64_t>& strides,
+                           const Index& strides,
                            std::vector<Segment>& out);
 
   std::int64_t max_len_;

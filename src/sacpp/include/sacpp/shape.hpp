@@ -9,7 +9,6 @@
 /// of SaC's built-in `shape()`, `Index` mirrors the index vectors (`iv`)
 /// used in with-loop generators and selections.
 
-#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <stdexcept>
@@ -20,7 +19,10 @@
 
 namespace sac {
 
-using Index = std::vector<std::int64_t>;
+/// An index vector. Up to rank 4 (every array in the paper) its
+/// components live inline, so building one — a shape's extents, a
+/// generator bound, a with-loop body's `iv` — allocates nothing.
+using Index = SmallVector<std::int64_t, 4>;
 
 /// Error for rank/shape/bounds violations; SaC would abort at runtime with
 /// a similar diagnostic.
@@ -30,19 +32,17 @@ class ShapeError : public std::runtime_error {
 };
 
 /// Row-major rectangular shape. Rank 0 (empty dims) denotes a scalar. The
-/// extents of up to rank 4 live inline, so copying a shape — with every
+/// extents are an Index, so copying a shape of rank <= 4 — with every
 /// Array copy and with-loop result — allocates nothing.
 class Shape {
  public:
-  using Dims = SmallVector<std::int64_t, 4>;
-
   Shape() = default;
   Shape(std::initializer_list<std::int64_t> dims) : dims_(dims) { validate(); }
   explicit Shape(const std::vector<std::int64_t>& dims)
       : dims_(dims.begin(), dims.end()) {
     validate();
   }
-  explicit Shape(Dims dims) : dims_(std::move(dims)) { validate(); }
+  explicit Shape(Index dims) : dims_(std::move(dims)) { validate(); }
 
   int rank() const { return static_cast<int>(dims_.size()); }
   bool is_scalar() const { return dims_.empty(); }
@@ -54,20 +54,17 @@ class Shape {
     }
     return dims_[static_cast<std::size_t>(axis)];
   }
-  const Dims& dims() const { return dims_; }
+  const Index& dims() const { return dims_; }
 
   /// Total number of elements (1 for scalars, 0 if any extent is 0).
   std::int64_t element_count() const;
 
   /// Row-major strides; stride[rank-1] == 1 for non-empty shapes.
-  std::vector<std::int64_t> strides() const;
+  Index strides() const;
 
   /// Row-major linearisation of a full index vector. Throws ShapeError on
-  /// rank mismatch or out-of-bounds component. The pointer form lets hot
-  /// call sites (single-cell set/get in inner loops) pass a braced index
-  /// without materialising a heap-allocated Index.
+  /// rank mismatch or out-of-bounds component.
   std::int64_t linearize(const Index& iv) const;
-  std::int64_t linearize(const std::int64_t* iv, std::size_t n) const;
 
   /// True when \p iv has matching rank and every component is in bounds.
   bool contains(const Index& iv) const;
@@ -79,16 +76,14 @@ class Shape {
   /// with a short iv): the trailing `rank() - prefix_len` axes.
   Shape suffix(int prefix_len) const;
 
-  bool operator==(const Shape& other) const {
-    return std::equal(dims_.begin(), dims_.end(), other.dims_.begin(), other.dims_.end());
-  }
+  bool operator==(const Shape& other) const { return dims_ == other.dims_; }
   bool operator!=(const Shape& other) const { return !(*this == other); }
 
   std::string to_string() const;
 
  private:
   void validate() const;
-  Dims dims_;
+  Index dims_;
 };
 
 /// Concatenation of two shape vectors (used for nested selections).

@@ -5,12 +5,16 @@
 /// A vector whose first N elements live inline.
 ///
 /// With-loops are built afresh at every call site — sudoku's `options_at`
-/// builds one per board cell — so a heap allocation per generator list or
-/// per bound vector costs more than executing the loop. The with-loop
-/// engine keeps both its generator bounds (`SpecIndex`) and its generator
-/// list (`With::gens_`) in this container: up to N elements need no heap,
-/// longer lists move to the heap once and keep doubling from there.
+/// builds one per board cell — so a heap allocation per index vector or
+/// per generator list costs more than executing the loop. Every index
+/// vector of the SaC layer (`sac::Index`: shape extents, generator bounds,
+/// body indices) and the with-loop generator list (`With::gens_`) live in
+/// this container: up to N elements need no heap, longer lists move to the
+/// heap once and keep doubling from there. Like `std::vector`, growth is
+/// alias-safe: `v.push_back(v[0])` on a full vector copies the element
+/// before the old buffer goes.
 
+#include <algorithm>
 #include <cstddef>
 #include <initializer_list>
 #include <iterator>
@@ -29,15 +33,20 @@ class SmallVector {
 
  public:
   SmallVector() = default;
+  SmallVector(std::size_t n, const T& value) : SmallVector() {
+    reserve(n);
+    std::uninitialized_fill_n(data_, n, value);
+    size_ = n;
+  }
   SmallVector(std::initializer_list<T> vals) : SmallVector() {
     append(vals.begin(), vals.end());
   }
-  template <std::input_iterator It>
+  template <std::forward_iterator It>
   SmallVector(It first, It last) : SmallVector() {
     append(first, last);
   }
-  // Delegating to the default constructor makes a throwing element copy
-  // run the destructor on the elements copied so far.
+  // Delegating to the default constructor makes the destructor free a
+  // heap buffer when an element copy throws.
   SmallVector(const SmallVector& other) : SmallVector() {
     append(other.begin(), other.end());
   }
@@ -73,11 +82,25 @@ class SmallVector {
   template <class... Args>
   T& emplace_back(Args&&... args) {
     if (size_ == capacity_) {
-      grow(2 * capacity_);
+      return grow_and_emplace(std::forward<Args>(args)...);
     }
     T* slot = ::new (static_cast<void*>(data_ + size_)) T(std::forward<Args>(args)...);
     ++size_;
     return *slot;
+  }
+  void push_back(const T& value) { emplace_back(value); }
+  void push_back(T&& value) { emplace_back(std::move(value)); }
+  void pop_back() { std::destroy_at(data_ + --size_); }
+
+  /// Shrinks to, or grows with value-initialised elements to, \p n.
+  void resize(std::size_t n) {
+    reserve(n);
+    if (n > size_) {
+      std::uninitialized_value_construct(end(), data_ + n);
+    } else {
+      std::destroy(data_ + n, end());
+    }
+    size_ = n;
   }
 
   void clear() {
@@ -85,19 +108,51 @@ class SmallVector {
     size_ = 0;
   }
 
+  friend bool operator==(const SmallVector& a, const SmallVector& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
  private:
   T* inline_data() { return inline_.items; }
   bool is_inline() const { return data_ == inline_.items; }
 
+  /// Appends [first, last), which must not alias this vector.
   template <class It>
   void append(It first, It last) {
-    for (; first != last; ++first) {
-      emplace_back(*first);
+    const auto n = static_cast<std::size_t>(std::distance(first, last));
+    reserve(size_ + n);
+    std::uninitialized_copy(first, last, end());
+    size_ += n;
+  }
+
+  void reserve(std::size_t n) {
+    if (n > capacity_) {
+      adopt(std::allocator<T>().allocate(n), n);
     }
   }
 
-  void grow(std::size_t capacity) {
+  /// Moves to a buffer of twice the capacity and appends there. The new
+  /// element is built first, while the old elements still live: \p args
+  /// may refer to one of them.
+  template <class... Args>
+  T& grow_and_emplace(Args&&... args) {
+    const std::size_t capacity = 2 * capacity_;
     T* fresh = std::allocator<T>().allocate(capacity);
+    T* slot = fresh + size_;
+    try {
+      ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
+    } catch (...) {
+      std::allocator<T>().deallocate(fresh, capacity);
+      throw;
+    }
+    adopt(fresh, capacity);
+    ++size_;
+    return *slot;
+  }
+
+  /// Moves the elements into \p fresh, a buffer of \p capacity, and frees
+  /// the old buffer if it was on the heap.
+  void adopt(T* fresh, std::size_t capacity) {
     std::uninitialized_move(begin(), end(), fresh);
     std::destroy(begin(), end());
     if (!is_inline()) {

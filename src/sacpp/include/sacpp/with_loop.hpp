@@ -28,8 +28,11 @@
 /// SegmentPlan (overlap resolved at setup, so no cell is written twice)
 /// whose segment ranges executor chunking distributes. Every run is
 /// evaluated by `eval_run` — `std::fill` for constant bodies, a tight
-/// index-reusing loop for `std::function` bodies. The tests compare the
-/// engine against an interpreted per-element one
+/// index-reusing loop for `std::function` bodies. That loop's `iv` is a
+/// local `Index` of the evaluating call (inline up to rank 4), so a body
+/// evaluation allocates nothing and a body that runs a with-loop of its
+/// own (`is_stuck` runs `options_at`) simply has its own. The tests
+/// compare the engine against an interpreted per-element one
 /// (tests/with_loop_reference.hpp), which reaches the generator list
 /// through the `testing::ReferenceEngine` friend hook below.
 ///
@@ -38,7 +41,6 @@
 /// producer's segment pass with zero intermediate arrays.
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <type_traits>
@@ -193,47 +195,6 @@ inline auto plan_cells(const SegmentPlan& plan) {
   };
 }
 
-/// A body index from the calling thread's LIFO pool of reusable scratch
-/// buffers. A with-loop evaluates its generators through one of these
-/// instead of a fresh `Index`, so once a thread has warmed its pool,
-/// evaluation allocates nothing (the buffer keeps its capacity between
-/// calls). Reentrant by stack discipline: a body that runs a with-loop
-/// (`is_stuck`'s runs `options_at`'s), or a join that helps run other
-/// chunks on the same thread, takes the next buffer and returns it before
-/// the outer one is returned. Entity suspensions are state transitions,
-/// not stack switches, so acquire and release always nest.
-class ScratchIndex {
- public:
-  ScratchIndex() : pool_(thread_pool()), iv_(pool_.acquire()) {}
-  ~ScratchIndex() { pool_.release(); }
-  ScratchIndex(const ScratchIndex&) = delete;
-  ScratchIndex& operator=(const ScratchIndex&) = delete;
-
-  Index& get() { return iv_; }
-
- private:
-  struct Pool {
-    std::deque<Index> buffers;  // growing a deque never moves a buffer in use
-    std::size_t depth = 0;
-
-    Index& acquire() {
-      if (depth == buffers.size()) {
-        buffers.emplace_back();
-      }
-      return buffers[depth++];
-    }
-    void release() { --depth; }
-  };
-
-  static Pool& thread_pool() {
-    thread_local Pool pool;
-    return pool;
-  }
-
-  Pool& pool_;
-  Index& iv_;
-};
-
 }  // namespace detail
 
 template <class T, class Post = detail::IdentityStage>
@@ -246,7 +207,7 @@ class With {
   using storage = detail::storage_t<T>;
 
   /// Generator `lb <= iv < ub` with body expression \p body.
-  With& gen(SpecIndex lb, SpecIndex ub, Body body) {
+  With& gen(Index lb, Index ub, Body body) {
     check_bounds_rank(lb, ub);
     Generator& g = gens_.emplace_back();
     g.spec.lb = std::move(lb);
@@ -257,7 +218,7 @@ class With {
 
   /// Generator `lb <= iv <= ub` (the inclusive form used by the paper's
   /// `addNumber`); normalised to an exclusive upper bound.
-  With& gen_incl(SpecIndex lb, SpecIndex ub, Body body) {
+  With& gen_incl(Index lb, Index ub, Body body) {
     for (auto& c : ub) {
       c += 1;
     }
@@ -267,7 +228,7 @@ class With {
   /// Constant-body generators, e.g. `([i,j,0] <= iv <= [i,j,8]) : false`.
   /// Their segments become `std::fill`/memset; no Body is materialised at
   /// all, so building one costs two Index moves and nothing else.
-  With& gen_val(SpecIndex lb, SpecIndex ub, T value) {
+  With& gen_val(Index lb, Index ub, T value) {
     check_bounds_rank(lb, ub);
     Generator& g = gens_.emplace_back();
     g.spec.lb = std::move(lb);
@@ -276,7 +237,7 @@ class With {
     g.const_val = std::move(value);
     return *this;
   }
-  With& gen_incl_val(SpecIndex lb, SpecIndex ub, T value) {
+  With& gen_incl_val(Index lb, Index ub, T value) {
     for (auto& c : ub) {
       c += 1;
     }
@@ -285,11 +246,11 @@ class With {
 
   /// SaC striding on the most recently added generator: of every `step`
   /// consecutive indices per axis, the first `width` are members.
-  With& step(SpecIndex s) {
+  With& step(Index s) {
     last().spec.step = std::move(s);
     return *this;
   }
-  With& width(SpecIndex w) {
+  With& width(Index w) {
     last().spec.width = std::move(w);
     return *this;
   }
@@ -353,7 +314,7 @@ class With {
     T const_val{};
   };
 
-  static void check_bounds_rank(const SpecIndex& lb, const SpecIndex& ub) {
+  static void check_bounds_rank(const Index& lb, const Index& ub) {
     if (lb.size() != ub.size()) {
       throw ShapeError("generator bounds " + index_to_string(lb) + " and " +
                        index_to_string(ub) + " differ in rank");
@@ -458,8 +419,8 @@ class With {
   /// The generator evaluator, visit form: hands `visit(t, value)` the value
   /// of every cell of generator \p g's last-axis run [lo, hi), t = j - lo,
   /// where the cell's outer-axis components are \p pre (rank-1 of them).
-  /// \p iv is the caller's index scratch (a ScratchIndex buffer), sized to
-  /// the generator's rank on the first body evaluation, never for gen_val.
+  /// \p iv is the caller's local index, sized to the generator's rank on
+  /// the first body evaluation, never for gen_val.
   template <class Visit>
   static void eval_run(const Generator& g, const std::int64_t* pre,
                        std::int64_t lo, std::int64_t hi, Index& iv,
@@ -471,9 +432,7 @@ class With {
       return;
     }
     const std::size_t rank = g.spec.lb.size();
-    if (iv.size() != rank) {
-      iv.assign(rank, 0);
-    }
+    iv.resize(rank);
     if (rank == 0) {
       visit(std::int64_t{0}, g.body(iv));
       return;
@@ -507,41 +466,28 @@ class With {
   /// merged into one longer run. Without this the generic run walk pays a
   /// memset call (or odometer dispatch) per single-cell row, which costs
   /// more than the whole generator's worth of stores.
-  static void fill_dense(const GeneratorSpec& g, storage* out,
-                         const std::int64_t* strides, storage v) {
+  static void fill_dense(const GeneratorSpec& g, storage* out, const Index& strides,
+                         storage v) {
     const std::size_t rank = g.lb.size();
     std::int64_t base = 0;
+    Index ext;
+    Index str;
     for (std::size_t a = 0; a < rank; ++a) {
       base += g.lb[a] * strides[a];
-    }
-    std::int64_t ext_buf[kMaxStackRank];
-    std::int64_t str_buf[kMaxStackRank];
-    std::vector<std::int64_t> deep;
-    std::int64_t* ext = ext_buf;
-    std::int64_t* str = str_buf;
-    if (rank > kMaxStackRank) {
-      deep.resize(2 * rank);
-      ext = deep.data();
-      str = deep.data() + rank;
-    }
-    std::size_t m = 0;
-    for (std::size_t a = 0; a < rank; ++a) {
       const std::int64_t e = g.ub[a] - g.lb[a];
       if (e > 1) {
-        ext[m] = e;
-        str[m] = strides[a];
-        ++m;
+        ext.push_back(e);
+        str.push_back(strides[a]);
       }
     }
     // Merge inward-contiguous neighbours: axis i spans exactly ext[i]
     // repetitions of the [i+1..] block when str[i] == ext[i+1]*str[i+1].
-    std::size_t w = m;
-    while (w >= 2 && str[w - 2] == ext[w - 1] * str[w - 1]) {
-      ext[w - 2] *= ext[w - 1];
-      str[w - 2] = str[w - 1];
-      --w;
+    std::size_t m = ext.size();
+    while (m >= 2 && str[m - 2] == ext[m - 1] * str[m - 1]) {
+      ext[m - 2] *= ext[m - 1];
+      str[m - 2] = str[m - 1];
+      --m;
     }
-    m = w;
     if (m == 0) {
       out[base] = v;
       return;
@@ -570,13 +516,7 @@ class With {
     }
     // m >= 3: odometer over the axes outside the innermost run.
     const std::size_t outer = m - 1;
-    std::int64_t idx[kMaxStackRank] = {};
-    std::vector<std::int64_t> idx_deep;
-    std::int64_t* ip = idx;
-    if (outer > kMaxStackRank) {
-      idx_deep.assign(outer, 0);
-      ip = idx_deep.data();
-    }
+    Index ip(outer, 0);
     while (true) {
       run(base);
       std::size_t a = outer;
@@ -601,25 +541,11 @@ class With {
   /// resolution when execution is ordered), each over its walked runs. This
   /// keeps tiny with-loops — sudoku's addNumber touches ~3N cells per call
   /// — free of plan-building cost, and pure gen_val loops allocation-free.
-  void apply_seq(Array<T>& result, const Shape& shp,
-                 const std::int64_t* ests) const {
-    const auto rank = static_cast<std::size_t>(shp.rank());
+  void apply_seq(Array<T>& result, const Shape& shp, const Index& ests) const {
     storage* out = nullptr;  // detach lazily: empty loops must not COW
-    std::int64_t strides_buf[kMaxStackRank];
-    std::vector<std::int64_t> deep;  // spill only for rank > kMaxStackRank
-    std::int64_t* strides = strides_buf;
-    if (rank > kMaxStackRank) {
-      deep.resize(rank);
-      strides = deep.data();
-    }
-    if (rank > 0) {
-      strides[rank - 1] = 1;
-      for (std::size_t a = rank - 1; a-- > 0;) {
-        strides[a] = strides[a + 1] * shp.extent(static_cast<int>(a + 1));
-      }
-    }
-    const std::size_t outer = rank > 0 ? rank - 1 : 0;
-    detail::ScratchIndex iv;
+    const Index strides = shp.strides();
+    const std::size_t outer = strides.empty() ? 0 : strides.size() - 1;
+    Index iv;
     for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
       if (ests[gi] == 0) {
         continue;
@@ -637,7 +563,7 @@ class With {
         for (std::size_t a = 0; a < outer; ++a) {
           base += pre[a] * strides[a];
         }
-        store_run(g, pre, lo, hi, iv.get(), out + base);
+        store_run(g, pre, lo, hi, iv, out + base);
       });
     }
   }
@@ -646,15 +572,9 @@ class With {
     const Shape& shp = result.shape();
     prevalidate(shp);
     // One member count per generator per apply; doubles as the size
-    // trigger for the plan-free sequential path. Stack storage for the
-    // usual few-generator case — this runs on every with-loop call.
-    std::int64_t ests_buf[16];
-    std::vector<std::int64_t> ests_spill;
-    std::int64_t* ests = ests_buf;
-    if (gens_.size() > 16) {
-      ests_spill.resize(gens_.size());
-      ests = ests_spill.data();
-    }
+    // trigger for the plan-free sequential path. Inline up to four
+    // generators, like gens_ — this runs on every with-loop call.
+    Index ests(gens_.size(), 0);
     std::int64_t total = 0;
     for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
       ests[gi] = member_count(gens_[gi].spec);
@@ -678,11 +598,11 @@ class With {
     const auto n = static_cast<std::int64_t>(plan.segments().size());
     detail::run_over_segments(n, plan.total_elements(), ctx,
                               [&](std::int64_t lo, std::int64_t hi) {
-      detail::ScratchIndex iv;
+      Index iv;
       for (std::int64_t si = lo; si < hi; ++si) {
         const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
         store_run(gens_[static_cast<std::size_t>(s.gen)], plan.prefix_at(s.prefix),
-                  s.col_lo, s.col_hi, iv.get(), out + s.base);
+                  s.col_lo, s.col_hi, iv, out + s.base);
       }
     });
   }
@@ -693,27 +613,26 @@ class With {
                    std::int64_t est) const {
     if (ctx.threads <= 1 || est < ctx.grain) {
       // Plan-free sequential fold over the generator's walked runs.
-      detail::ScratchIndex iv;
+      Index iv;
       walk_runs(g.spec, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
-        eval_run(g, pre, lo, hi, iv.get(),
+        eval_run(g, pre, lo, hi, iv,
                  [&](std::int64_t, const T& v) { acc = combine(acc, v); });
       });
       return acc;
     }
     // Fold has no result array: decompose against the generator's own
     // bounding shape (lb >= 0 was validated; linear bases are unused).
-    const Shape bounding{std::vector<std::int64_t>(g.spec.ub.begin(),
-                                                   g.spec.ub.end())};
+    const Shape bounding(g.spec.ub);
     const SegmentPlan plan({g.spec}, bounding, /*resolve_overlap=*/false,
                            /*with_complement=*/false, detail::segment_cap(est, ctx));
     return detail::fold_over_segments(
         static_cast<std::int64_t>(plan.segments().size()), plan.total_elements(),
         detail::plan_cells(plan), ctx, std::move(acc), neutral, combine,
         [&](std::int64_t lo, std::int64_t hi, T part) {
-          detail::ScratchIndex iv;
+          Index iv;
           for (std::int64_t si = lo; si < hi; ++si) {
             const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
-            eval_run(g, plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv.get(),
+            eval_run(g, plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv,
                      [&](std::int64_t, const T& v) { part = combine(part, v); });
           }
           return part;
@@ -850,7 +769,7 @@ class Fused {
   template <class Emit>
   void run_segments(const SegmentPlan& plan, std::int64_t lo, std::int64_t hi,
                     const detail::storage_t<T>* sp, const Emit& emit) const {
-    detail::ScratchIndex iv;
+    Index iv;
     for (std::int64_t si = lo; si < hi; ++si) {
       const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
       if (s.gen == SegmentPlan::kComplement) {
@@ -858,7 +777,7 @@ class Fused {
         continue;
       }
       With<T>::eval_run(with_.gens_[static_cast<std::size_t>(s.gen)],
-                        plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv.get(),
+                        plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv,
                         [&](std::int64_t t, const T& v) { emit(s.base + t, v); });
     }
   }

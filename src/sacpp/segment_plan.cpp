@@ -53,7 +53,7 @@ void subtract_into(std::int64_t lo, std::int64_t hi,
 }  // namespace
 
 void SegmentPlan::decompose_generator(std::int32_t ordinal, const GeneratorSpec& g,
-                                      const std::vector<std::int64_t>& strides,
+                                      const Index& strides,
                                       std::vector<Segment>& out) {
   // The walker yields the runs; the plan pools each outer-axis prefix once
   // (consecutive runs of a strided last axis share it) and splits long
@@ -82,7 +82,7 @@ SegmentPlan::SegmentPlan(const std::vector<GeneratorSpec>& gens, const Shape& sh
                          std::int64_t max_len)
     : max_len_(std::clamp<std::int64_t>(max_len, 1, kMaxSegmentLen)) {
   gen_elements_.assign(gens.size(), 0);
-  const std::vector<std::int64_t> strides = shape.strides();
+  const Index strides = shape.strides();
 
   // Per-generator decomposition (skipping empty generators entirely, so
   // out-of-range bounds of empty generators are never linearised).

@@ -20,8 +20,8 @@ std::int64_t Shape::element_count() const {
   return n;
 }
 
-std::vector<std::int64_t> Shape::strides() const {
-  std::vector<std::int64_t> s(dims_.size(), 1);
+Index Shape::strides() const {
+  Index s(dims_.size(), 1);
   for (int a = rank() - 2; a >= 0; --a) {
     const auto ua = static_cast<std::size_t>(a);
     s[ua] = s[ua + 1] * dims_[ua + 1];
@@ -30,20 +30,16 @@ std::vector<std::int64_t> Shape::strides() const {
 }
 
 std::int64_t Shape::linearize(const Index& iv) const {
-  return linearize(iv.data(), iv.size());
-}
-
-std::int64_t Shape::linearize(const std::int64_t* iv, std::size_t n) const {
-  if (static_cast<int>(n) != rank()) {
-    throw ShapeError("index " + index_to_string(Index(iv, iv + n)) +
-                     " has rank " + std::to_string(n) + ", array has rank " +
+  if (static_cast<int>(iv.size()) != rank()) {
+    throw ShapeError("index " + index_to_string(iv) + " has rank " +
+                     std::to_string(iv.size()) + ", array has rank " +
                      std::to_string(rank()));
   }
   std::int64_t off = 0;
   for (std::size_t a = 0; a < dims_.size(); ++a) {
     if (iv[a] < 0 || iv[a] >= dims_[a]) {
-      throw ShapeError("index " + index_to_string(Index(iv, iv + n)) +
-                       " out of bounds for shape " + to_string());
+      throw ShapeError("index " + index_to_string(iv) + " out of bounds for shape " +
+                       to_string());
     }
     off = off * dims_[a] + iv[a];
   }
@@ -79,7 +75,7 @@ Shape Shape::suffix(int prefix_len) const {
     throw ShapeError("selection prefix of length " + std::to_string(prefix_len) +
                      " invalid for shape " + to_string());
   }
-  return Shape(Dims(dims_.begin() + prefix_len, dims_.end()));
+  return Shape(Index(dims_.begin() + prefix_len, dims_.end()));
 }
 
 std::string Shape::to_string() const {
@@ -96,7 +92,7 @@ std::string Shape::to_string() const {
 }
 
 Shape concat_shapes(const Shape& a, const Shape& b) {
-  Shape::Dims d = a.dims();
+  Index d = a.dims();
   for (const std::int64_t e : b.dims()) {
     d.emplace_back(e);
   }

@@ -1,10 +1,12 @@
 /// Heap allocations per with-loop call. A with-loop keeps up to four
-/// generators inline and evaluates its bodies through a per-thread pool of
-/// reusable index buffers, so once a thread has made one call, a call
+/// generators inline, and its index vectors (shape extents, generator
+/// bounds, body indices) are inline `sac::Index`es of rank <= 4, so a call
 /// allocates only its result (and whatever copy-on-write clones its
-/// arguments force). This binary replaces the global `operator new` with a
-/// per-thread counter and checks exact counts; they depend on the code
-/// only, not on the hardware.
+/// arguments force) — the first call on a thread included, since no
+/// per-thread state is warmed up. This binary replaces the global
+/// `operator new` with a per-thread counter and checks exact counts of a
+/// call made first thing on a fresh thread; they depend on the code only,
+/// not on the hardware.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include "sacpp/with_loop.hpp"
 #include "sudoku/corpus.hpp"
@@ -47,14 +50,16 @@ using sac::Index;
 using sac::Shape;
 using sac::With;
 
-/// Allocations made by the second of two calls of \p call on this thread
-/// (the first warms the thread's scratch index pool).
+/// Allocations made by \p call as the first thing a fresh thread does.
 template <class F>
 std::size_t allocations_of(const F& call) {
-  call();
-  const std::size_t before = t_allocations;
-  call();
-  return t_allocations - before;
+  std::size_t made = 0;
+  std::thread([&] {
+    const std::size_t before = t_allocations;
+    call();
+    made = t_allocations - before;
+  }).join();
+  return made;
 }
 
 /// "medium" has 45 empty cells: is_stuck and find_min_trues run one

@@ -376,15 +376,33 @@ TEST(WithLoopReentrancy, GenarrayWhoseBodyRunsAGenarray) {
 namespace {
 
 const Context kCompiled1{1, 1024};
+const Context kPar4{4, 1};
+
+/// The rank and extent ranges a random case draws from, and the least
+/// extent of a generator along each axis.
+struct CaseRanges {
+  int rank_lo;
+  int rank_hi;
+  int ext_lo;
+  int ext_hi;
+  int min_width;
+};
+/// The paper's ranks (every sudoku array is rank 2 or 3).
+constexpr CaseRanges kLowRanks{0, 3, 1, 9, 0};
+/// Ranks past sac::Index's inline capacity (4): shapes, bounds, strides
+/// and body indices all spill to the heap. Generators are never empty:
+/// at these ranks a generator with any empty axis — most of them, with
+/// bounds drawn freely — never reaches a body.
+constexpr CaseRanges kHighRanks{4, 7, 1, 3, 1};
 
 struct RandomCase {
   With<int> with;
   Shape shape;
 };
 
-RandomCase random_case(std::mt19937& rng) {
-  std::uniform_int_distribution<int> rank_d(0, 3);
-  std::uniform_int_distribution<int> ext_d(1, 9);
+RandomCase random_case(std::mt19937& rng, const CaseRanges& r) {
+  std::uniform_int_distribution<int> rank_d(r.rank_lo, r.rank_hi);
+  std::uniform_int_distribution<int> ext_d(r.ext_lo, r.ext_hi);
   std::uniform_int_distribution<int> gens_d(0, 4);
   std::uniform_int_distribution<int> coin(0, 1);
   const int rank = rank_d(rng);
@@ -399,9 +417,10 @@ RandomCase random_case(std::mt19937& rng) {
     Index lb;
     Index ub;
     for (int a = 0; a < rank; ++a) {
-      std::uniform_int_distribution<std::int64_t> lo_d(0, dims[static_cast<std::size_t>(a)]);
+      const std::int64_t dim = dims[static_cast<std::size_t>(a)];
+      std::uniform_int_distribution<std::int64_t> lo_d(0, dim - r.min_width);
       const std::int64_t lo = lo_d(rng);
-      std::uniform_int_distribution<std::int64_t> hi_d(lo, dims[static_cast<std::size_t>(a)]);
+      std::uniform_int_distribution<std::int64_t> hi_d(lo + r.min_width, dim);
       lb.push_back(lo);
       ub.push_back(hi_d(rng));
     }
@@ -434,26 +453,24 @@ RandomCase random_case(std::mt19937& rng) {
   return RandomCase{std::move(w), shape};
 }
 
-}  // namespace
-
-TEST(WithLoopEquivalence, RandomGenarrayCompiledMatchesReference) {
-  std::mt19937 rng(20260808);
-  const Context par4{4, 1};
-  for (int trial = 0; trial < 300; ++trial) {
-    const RandomCase c = random_case(rng);
+void check_genarray(std::uint32_t seed, int trials, const CaseRanges& ranges) {
+  std::mt19937 rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    const RandomCase c = random_case(rng, ranges);
     const auto ref = Ref::genarray(c.with, c.shape, -7);
     const auto com = c.with.genarray(c.shape, -7, kCompiled1);
     ASSERT_EQ(com, ref) << "trial " << trial << " shape " << c.shape.to_string();
-    ASSERT_EQ(c.with.genarray(c.shape, -7, par4), ref)
+    ASSERT_EQ(c.with.genarray(c.shape, -7, kPar4), ref)
         << "parallel trial " << trial;
+    ASSERT_EQ(c.with.lazy_genarray(c.shape, -7).to_array(kPar4), ref)
+        << "fused trial " << trial;
   }
 }
 
-TEST(WithLoopEquivalence, RandomModarrayCompiledMatchesReference) {
-  std::mt19937 rng(977);
-  const Context par4{4, 1};
-  for (int trial = 0; trial < 200; ++trial) {
-    const RandomCase c = random_case(rng);
+void check_modarray(std::uint32_t seed, int trials, const CaseRanges& ranges) {
+  std::mt19937 rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    const RandomCase c = random_case(rng, ranges);
     Array<int> src(c.shape, 0);
     auto& buf = src.mutable_data();
     for (std::size_t i = 0; i < buf.size(); ++i) {
@@ -461,23 +478,39 @@ TEST(WithLoopEquivalence, RandomModarrayCompiledMatchesReference) {
     }
     const auto ref = Ref::modarray(c.with, src);
     ASSERT_EQ(c.with.modarray(src, kCompiled1), ref) << "trial " << trial;
-    ASSERT_EQ(c.with.modarray(src, par4), ref) << "parallel trial " << trial;
+    ASSERT_EQ(c.with.modarray(src, kPar4), ref) << "parallel trial " << trial;
   }
 }
 
-TEST(WithLoopEquivalence, RandomFoldCompiledMatchesReference) {
-  // Fold must see every member of every generator (no overlap resolution);
-  // + over int is associative with identity 0 (parallel partials each start
-  // from the neutral, so it must be the combine identity, as in SaC).
-  std::mt19937 rng(4242);
-  const Context par4{4, 1};
+// Fold must see every member of every generator (no overlap resolution);
+// + over int is associative with identity 0 (parallel partials each start
+// from the neutral, so it must be the combine identity, as in SaC).
+void check_fold(std::uint32_t seed, int trials, const CaseRanges& ranges) {
+  std::mt19937 rng(seed);
   const auto plus = [](int a, int b) { return a + b; };
-  for (int trial = 0; trial < 200; ++trial) {
-    const RandomCase c = random_case(rng);
+  for (int trial = 0; trial < trials; ++trial) {
+    const RandomCase c = random_case(rng, ranges);
     const int ref = Ref::fold(c.with, plus, 0);
     ASSERT_EQ(c.with.fold(plus, 0, kCompiled1), ref) << "trial " << trial;
-    ASSERT_EQ(c.with.fold(plus, 0, par4), ref) << "parallel trial " << trial;
+    ASSERT_EQ(c.with.fold(plus, 0, kPar4), ref) << "parallel trial " << trial;
   }
+}
+
+}  // namespace
+
+TEST(WithLoopEquivalence, RandomGenarrayCompiledMatchesReference) {
+  check_genarray(20260808, 300, kLowRanks);
+  check_genarray(71, 60, kHighRanks);
+}
+
+TEST(WithLoopEquivalence, RandomModarrayCompiledMatchesReference) {
+  check_modarray(977, 200, kLowRanks);
+  check_modarray(72, 60, kHighRanks);
+}
+
+TEST(WithLoopEquivalence, RandomFoldCompiledMatchesReference) {
+  check_fold(4242, 200, kLowRanks);
+  check_fold(73, 60, kHighRanks);
 }
 
 TEST(WithLoopEquivalence, RandomBoolGenarrayCompiledMatchesReference) {
