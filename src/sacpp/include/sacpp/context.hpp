@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "runtime/env.hpp"
 #include "runtime/executor.hpp"
 
 namespace sac {
@@ -27,8 +28,12 @@ struct Context {
 
 /// The process-wide default context. Initialised once from `SAC_THREADS`
 /// (fallback: hardware concurrency). Mutable so tests and benchmarks can
-/// sweep thread counts.
-Context& default_context();
+/// sweep thread counts. Inline: every with-loop call without an explicit
+/// context reads it.
+inline Context& default_context() {
+  static Context ctx{snetsac::runtime::default_sac_threads(), 1024};
+  return ctx;
+}
 
 /// The executor with-loops execute on: the process-wide pool shared with
 /// the S-Net scheduler (the context's `threads` caps how much of it a

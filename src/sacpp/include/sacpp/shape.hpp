@@ -48,9 +48,8 @@ class Shape {
   bool is_scalar() const { return dims_.empty(); }
 
   std::int64_t extent(int axis) const {
-    if (axis < 0 || axis >= rank()) {
-      throw std::out_of_range("axis " + std::to_string(axis) + " out of range for shape " +
-                              to_string());
+    if (axis < 0 || axis >= rank()) [[unlikely]] {
+      throw_axis_out_of_range(axis);
     }
     return dims_[static_cast<std::size_t>(axis)];
   }
@@ -63,8 +62,28 @@ class Shape {
   Index strides() const;
 
   /// Row-major linearisation of a full index vector. Throws ShapeError on
-  /// rank mismatch or out-of-bounds component.
-  std::int64_t linearize(const Index& iv) const;
+  /// rank mismatch or out-of-bounds component. Inline, and straight-line
+  /// code up to rank 4: with-loop bodies index their arrays through it
+  /// once per cell. Forced inline: in a translation unit that already
+  /// inlines a few with-loops, gcc's growth limits would otherwise leave a
+  /// call per cell.
+  [[gnu::always_inline]] std::int64_t linearize(const Index& iv) const {
+    if (iv.size() != dims_.size()) [[unlikely]] {
+      throw_rank_mismatch(iv);
+    }
+    switch (dims_.size()) {
+      case 1:
+        return linearize_rank<1>(iv);
+      case 2:
+        return linearize_rank<2>(iv);
+      case 3:
+        return linearize_rank<3>(iv);
+      case 4:
+        return linearize_rank<4>(iv);
+      default:
+        return linearize_any(iv);
+    }
+  }
 
   /// True when \p iv has matching rank and every component is in bounds.
   bool contains(const Index& iv) const;
@@ -83,6 +102,31 @@ class Shape {
 
  private:
   void validate() const;
+  /// linearize at rank R: a fixed trip count the compiler unrolls, and one
+  /// branch for all the bounds checks.
+  template <std::size_t R>
+  [[gnu::always_inline]] std::int64_t linearize_rank(const Index& iv) const {
+    const std::int64_t* c = iv.data();
+    const std::int64_t* d = dims_.data();
+    bool in = true;
+    std::int64_t off = 0;
+    for (std::size_t a = 0; a < R; ++a) {
+      // One unsigned compare catches both negative and too-large components.
+      in &= static_cast<std::uint64_t>(c[a]) < static_cast<std::uint64_t>(d[a]);
+      off = off * d[a] + c[a];
+    }
+    if (!in) [[unlikely]] {
+      throw_out_of_bounds(iv);
+    }
+    return off;
+  }
+  std::int64_t linearize_any(const Index& iv) const;
+
+  // The throwing paths of the inline accessors, out of line: message
+  // building at every call site would keep the callers from inlining.
+  [[noreturn]] void throw_axis_out_of_range(int axis) const;
+  [[noreturn]] void throw_rank_mismatch(const Index& iv) const;
+  [[noreturn]] void throw_out_of_bounds(const Index& iv) const;
   Index dims_;
 };
 
@@ -90,6 +134,18 @@ class Shape {
 Shape concat_shapes(const Shape& a, const Shape& b);
 
 std::string index_to_string(const Index& iv);
+
+namespace detail {
+/// The with-loop checks' throwing paths, out of line for the same reason
+/// as Shape's: generator setup runs on every with-loop call and must stay
+/// small enough to inline.
+[[noreturn]] void throw_shape_error(const char* what);
+[[noreturn]] void throw_bounds_rank(const Index& lb, const Index& ub);
+[[noreturn]] void throw_generator_rank(std::size_t rank, const Shape& target);
+[[noreturn]] void throw_generator_range(const Index& lb, const Index& ub,
+                                        const Shape& target);
+[[noreturn]] void throw_fold_lower_bound(const Index& lb);
+}  // namespace detail
 
 }  // namespace sac
 

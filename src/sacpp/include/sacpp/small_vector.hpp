@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <initializer_list>
 #include <iterator>
 #include <memory>
@@ -32,7 +33,9 @@ class SmallVector {
                 "moving a SmallVector moves inline elements one by one");
 
  public:
-  SmallVector() = default;
+  // User-provided, not defaulted: value-initialising `Index{}` would
+  // otherwise zero the inline storage first.
+  SmallVector() noexcept {}
   SmallVector(std::size_t n, const T& value) : SmallVector() {
     reserve(n);
     std::uninitialized_fill_n(data_, n, value);
@@ -121,6 +124,20 @@ class SmallVector {
   void append(It first, It last) {
     const auto n = static_cast<std::size_t>(std::distance(first, last));
     reserve(size_ + n);
+    if constexpr (std::is_trivially_copyable_v<T> && std::is_pointer_v<It>) {
+      if (n <= N) {
+        // A short copy: a fixed trip count the compiler unrolls, where
+        // std::uninitialized_copy would call memmove.
+        T* d = end();
+        for (std::size_t i = 0; i < N; ++i) {
+          if (i < n) {
+            d[i] = first[i];
+          }
+        }
+        size_ += n;
+        return;
+      }
+    }
     std::uninitialized_copy(first, last, end());
     size_ += n;
   }
@@ -174,10 +191,17 @@ class SmallVector {
   }
 
   /// Takes \p other's elements into this empty, inline vector: a heap
-  /// buffer changes hands, inline elements are moved one by one.
+  /// buffer changes hands, inline elements are moved one by one (a
+  /// trivially copyable T as one copy of the inline buffer).
   void take(SmallVector&& other) noexcept {
     if (other.is_inline()) {
-      std::uninitialized_move(other.begin(), other.end(), inline_data());
+      if constexpr (std::is_trivially_copyable_v<T>) {
+        // The whole inline buffer, a fixed size: no memmove call.
+        std::memcpy(static_cast<void*>(inline_data()), other.inline_data(),
+                    sizeof(inline_));
+      } else {
+        std::uninitialized_move(other.begin(), other.end(), inline_data());
+      }
       size_ = other.size_;
       other.clear();
       return;

@@ -23,25 +23,32 @@
 /// location [3] ... is set to 2 rather than to 1").
 ///
 /// The engine is *compiled*: the unit of execution is the contiguous row
-/// run that `walk_runs` (segment_plan.hpp) yields. Small with-loops walk
-/// the runs in generator order; larger ones are decomposed into a
-/// SegmentPlan (overlap resolved at setup, so no cell is written twice)
-/// whose segment ranges executor chunking distributes. Every run is
-/// evaluated by `eval_run` — `std::fill` for constant bodies, a tight
-/// index-reusing loop for `std::function` bodies. That loop's `iv` is a
-/// local `Index` of the evaluating call (inline up to rank 4), so a body
-/// evaluation allocates nothing and a body that runs a with-loop of its
-/// own (`is_stuck` runs `options_at`) simply has its own. The tests
+/// run of a generator. Small sequential with-loops step through a dense
+/// generator's rows with a direct odometer (strided ones through
+/// `walk_runs`, segment_plan.hpp) in generator order; larger ones are
+/// decomposed into a SegmentPlan (overlap resolved at setup, so no cell is
+/// written twice) whose segment ranges executor chunking distributes.
+/// `gen` takes its body as a template parameter and keeps it type-erased
+/// behind one *row runner* per body type (detail::Body): a function
+/// pointer whose loop over the run's cells has the body inlined. The engine
+/// pays one indirect call per row — `std::fill` for constant generators —
+/// and `fold` takes its combine as a template parameter too, so the
+/// combine inlines into the loop over the runner's output. The runner's
+/// `iv` is a local `Index` of the evaluating call (inline up to rank 4), so
+/// a body evaluation allocates nothing and a body that runs a with-loop of
+/// its own (`is_stuck` runs `options_at`) simply has its own. The tests
 /// compare the engine against an interpreted per-element one
-/// (tests/with_loop_reference.hpp), which reaches the generator list
-/// through the `testing::ReferenceEngine` friend hook below.
+/// (tests/with_loop_reference.hpp), which calls each body cell by cell and
+/// reaches the generator list through the `testing::ReferenceEngine`
+/// friend hook below.
 ///
 /// `Fused` (below) extends the compiled engine across *chains* of
 /// with-loops: elementwise consumers (map / zip_with / fold) run inside the
 /// producer's segment pass with zero intermediate arrays.
 
 #include <algorithm>
-#include <functional>
+#include <cstddef>
+#include <new>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -195,6 +202,153 @@ inline auto plan_cells(const SegmentPlan& plan) {
   };
 }
 
+/// Cells a fold or a fused chain takes from one row-runner call: the runner
+/// writes them to a stack buffer, which the consumer then walks.
+inline constexpr std::int64_t kRowChunk = 64;
+
+/// What a type-erased with-loop body can do, one table per body type.
+template <class T>
+struct BodyOps {
+  /// The row runner: writes the body's value at every cell of the row
+  /// [lo, hi) to out[0, hi - lo). \p iv holds the row's outer components;
+  /// the runner sets its last one. A rank-0 iv is the single cell [0, 1).
+  void (*run)(void* body, Index& iv, std::int64_t lo, std::int64_t hi,
+              storage_t<T>* out);
+  /// One body evaluation at \p iv: the test oracle's per-cell entry.
+  T (*call)(void* body, const Index& iv);
+  /// Copy-construct at \p dst.
+  void (*copy)(void* dst, const void* src);
+  /// Move-construct at \p dst and destroy \p src.
+  void (*relocate)(void* dst, void* src) noexcept;
+  void (*destroy)(void* body) noexcept;
+};
+
+/// The body of type F, stored in a Body's buffer (kInline) or on the heap
+/// with its pointer in the buffer.
+template <class T, class F, bool kInline>
+struct BodyModel {
+  static F& get(void* p) {
+    if constexpr (kInline) {
+      return *std::launder(static_cast<F*>(p));
+    } else {
+      return **std::launder(static_cast<F**>(p));
+    }
+  }
+
+  static void run(void* p, Index& iv, std::int64_t lo, std::int64_t hi,
+                  storage_t<T>* out) {
+    F& f = get(p);
+    const Index& civ = iv;
+    if (iv.empty()) {
+      *out = static_cast<storage_t<T>>(static_cast<T>(f(civ)));
+      return;
+    }
+    std::int64_t& col = iv[iv.size() - 1];
+    for (std::int64_t j = lo; j < hi; ++j) {
+      col = j;
+      *out++ = static_cast<storage_t<T>>(static_cast<T>(f(civ)));
+    }
+  }
+
+  static T call(void* p, const Index& iv) { return static_cast<T>(get(p)(iv)); }
+
+  static void copy(void* dst, const void* src) {
+    const F& from = get(const_cast<void*>(src));
+    if constexpr (kInline) {
+      ::new (dst) F(from);
+    } else {
+      ::new (dst) F*(new F(from));
+    }
+  }
+  static void relocate(void* dst, void* src) noexcept {
+    if constexpr (kInline) {
+      F& from = get(src);
+      ::new (dst) F(std::move(from));
+      from.~F();
+    } else {
+      ::new (dst) F*(&get(src));  // the heap body changes hands
+    }
+  }
+  static void destroy(void* p) noexcept {
+    if constexpr (kInline) {
+      get(p).~F();
+    } else {
+      delete &get(p);
+    }
+  }
+
+  static constexpr BodyOps<T> kOps{&run, &call, &copy, &relocate, &destroy};
+};
+
+/// A with-loop generator's body, type-erased: a callable `T(const Index&)`
+/// stored inline when it is small (a lambda capturing up to four pointers,
+/// a function pointer, a `std::function`) and on the heap otherwise, with
+/// its row runner. Empty for constant generators.
+template <class T>
+class Body {
+ public:
+  static constexpr std::size_t kInlineBytes = 32;
+
+  Body() = default;
+
+  template <class F, class D = std::decay_t<F>>
+  explicit Body(F&& f) {
+    static_assert(std::is_invocable_v<D&, const Index&>,
+                  "a with-loop body is callable as body(const sac::Index&)");
+    static_assert(std::is_copy_constructible_v<D>, "a with-loop body is copyable");
+    constexpr bool kInline = sizeof(D) <= kInlineBytes &&
+                             alignof(D) <= alignof(std::max_align_t) &&
+                             std::is_nothrow_move_constructible_v<D>;
+    if constexpr (kInline) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+    }
+    ops_ = &BodyModel<T, D, kInline>::kOps;
+  }
+
+  Body(const Body& other) {
+    if (other.ops_ != nullptr) {
+      other.ops_->copy(buf_, other.buf_);
+      ops_ = other.ops_;
+    }
+  }
+  Body(Body&& other) noexcept { take(other); }
+  Body& operator=(Body other) noexcept {
+    reset();
+    take(other);
+    return *this;
+  }
+  ~Body() { reset(); }
+
+  bool empty() const { return ops_ == nullptr; }
+
+  /// The row runner (see BodyOps::run).
+  void run(Index& iv, std::int64_t lo, std::int64_t hi, storage_t<T>* out) const {
+    ops_->run(buf_, iv, lo, hi, out);
+  }
+  /// One body evaluation.
+  T operator()(const Index& iv) const { return ops_->call(buf_, iv); }
+
+ private:
+  void take(Body& other) noexcept {
+    if (other.ops_ != nullptr) {
+      other.ops_->relocate(buf_, other.buf_);
+      ops_ = std::exchange(other.ops_, nullptr);
+    }
+  }
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
+
+  const BodyOps<T>* ops_ = nullptr;
+  // Mutable like std::function's target: a body is called as non-const.
+  alignas(std::max_align_t) mutable unsigned char buf_[kInlineBytes];
+};
+
 }  // namespace detail
 
 template <class T, class Post = detail::IdentityStage>
@@ -203,38 +357,36 @@ class Fused;
 template <class T>
 class With {
  public:
-  using Body = std::function<T(const Index&)>;
   using storage = detail::storage_t<T>;
 
-  /// Generator `lb <= iv < ub` with body expression \p body.
-  With& gen(Index lb, Index ub, Body body) {
+  // User-provided, not defaulted: value-initialising `With<T>()` would
+  // otherwise zero the inline generator storage (over 1 KB) first.
+  With() {}
+
+  /// Generator `lb <= iv < ub` with body expression \p body, any callable
+  /// `body(const Index&)` whose result converts to T.
+  template <class F>
+  With& gen(Index lb, Index ub, F&& body) {
     check_bounds_rank(lb, ub);
-    Generator& g = gens_.emplace_back();
-    g.spec.lb = std::move(lb);
-    g.spec.ub = std::move(ub);
-    g.body = std::move(body);
+    gens_.emplace_back(std::move(lb), std::move(ub), std::forward<F>(body));
     return *this;
   }
 
   /// Generator `lb <= iv <= ub` (the inclusive form used by the paper's
   /// `addNumber`); normalised to an exclusive upper bound.
-  With& gen_incl(Index lb, Index ub, Body body) {
+  template <class F>
+  With& gen_incl(Index lb, Index ub, F&& body) {
     for (auto& c : ub) {
       c += 1;
     }
-    return gen(std::move(lb), std::move(ub), std::move(body));
+    return gen(std::move(lb), std::move(ub), std::forward<F>(body));
   }
 
   /// Constant-body generators, e.g. `([i,j,0] <= iv <= [i,j,8]) : false`.
-  /// Their segments become `std::fill`/memset; no Body is materialised at
-  /// all, so building one costs two Index moves and nothing else.
+  /// Their rows become `std::fill`/memset; no body is stored at all.
   With& gen_val(Index lb, Index ub, T value) {
     check_bounds_rank(lb, ub);
-    Generator& g = gens_.emplace_back();
-    g.spec.lb = std::move(lb);
-    g.spec.ub = std::move(ub);
-    g.is_const = true;
-    g.const_val = std::move(value);
+    gens_.emplace_back(std::move(lb), std::move(ub), kConst, std::move(value));
     return *this;
   }
   With& gen_incl_val(Index lb, Index ub, T value) {
@@ -287,8 +439,8 @@ class With {
   /// except that per-chunk partial results are combined in index order.
   /// Overlapping generators each contribute all their elements (no overlap
   /// resolution — fold is a multiset reduction, not an array build).
-  T fold(const std::function<T(T, T)>& combine, T neutral,
-         const Context& ctx = default_context()) const {
+  template <class C>
+  T fold(const C& combine, T neutral, const Context& ctx = default_context()) const {
     T acc = neutral;
     for (const auto& g : gens_) {
       validate_striding(g.spec);  // before any member-count division by step
@@ -297,7 +449,16 @@ class With {
       if (est == 0) {
         continue;
       }
-      acc = fold_generator(g, combine, std::move(acc), neutral, ctx, est);
+      if (ctx.threads <= 1 || est < ctx.grain) {
+        // Plan-free sequential fold over the generator's rows.
+        Index iv;
+        for_rows(g.spec, iv, [&](std::int64_t lo, std::int64_t hi) {
+          eval_run(g, iv, lo, hi,
+                   [&](std::int64_t, const T& v) { acc = combine(acc, v); });
+        });
+      } else {
+        acc = fold_parallel(g, combine, std::move(acc), neutral, ctx, est);
+      }
     }
     return acc;
   }
@@ -307,17 +468,27 @@ class With {
   friend class Fused;
   friend struct testing::ReferenceEngine;
 
+  struct ConstTag {};
+  static constexpr ConstTag kConst{};
+
+  /// Built in place by gen / gen_val.
   struct Generator {
+    template <class F>
+    Generator(Index&& lb, Index&& ub, F&& f)
+        : spec{std::move(lb), std::move(ub), {}, {}}, body(std::forward<F>(f)) {}
+    Generator(Index&& lb, Index&& ub, ConstTag, T value)
+        : spec{std::move(lb), std::move(ub), {}, {}}, const_val(std::move(value)) {}
+
+    bool is_const() const { return body.empty(); }
+
     GeneratorSpec spec;
-    Body body;  // unset for constant (gen_val) generators
-    bool is_const = false;
+    detail::Body<T> body;  // empty for constant (gen_val) generators
     T const_val{};
   };
 
   static void check_bounds_rank(const Index& lb, const Index& ub) {
     if (lb.size() != ub.size()) {
-      throw ShapeError("generator bounds " + index_to_string(lb) + " and " +
-                       index_to_string(ub) + " differ in rank");
+      detail::throw_bounds_rank(lb, ub);
     }
   }
 
@@ -328,55 +499,55 @@ class With {
     return gens_.back();
   }
 
-  /// \p est is the generator's member count, computed once by the caller
-  /// (or taken from the plan) — bounds of empty generators are irrelevant.
-  void validate_against(const Generator& g, const Shape& target,
-                        std::int64_t est) const {
+  /// Rank and bounds of \p g against \p target; striding must be validated
+  /// first. \p est is the generator's member count, computed once by the
+  /// caller (or taken from the plan) — bounds of empty generators are
+  /// irrelevant.
+  static void validate_against(const Generator& g, const Shape& target,
+                               std::int64_t est) {
     if (static_cast<int>(g.spec.lb.size()) != target.rank()) {
-      throw ShapeError("generator of rank " + std::to_string(g.spec.lb.size()) +
-                       " does not match result shape " + target.to_string());
+      detail::throw_generator_rank(g.spec.lb.size(), target);
     }
-    validate_striding(g.spec);
     if (est == 0) {
       return;  // empty generators never touch memory, bounds irrelevant
     }
     for (std::size_t a = 0; a < g.spec.lb.size(); ++a) {
-      if (g.spec.lb[a] < 0 || g.spec.ub[a] > target.extent(static_cast<int>(a))) {
-        throw ShapeError("generator range " + index_to_string(g.spec.lb) + " .. " +
-                         index_to_string(g.spec.ub) + " exceeds result shape " +
-                         target.to_string());
+      if (g.spec.lb[a] < 0 || g.spec.ub[a] > target.dims()[a]) {
+        detail::throw_generator_range(g.spec.lb, g.spec.ub, target);
       }
     }
   }
 
-  void validate_rank_only(const Generator& g, std::int64_t est) const {
-    validate_striding(g.spec);
+  /// A fold generator's lower bound; striding must be validated first.
+  static void validate_rank_only(const Generator& g, std::int64_t est) {
     if (est == 0) {
       return;
     }
-    for (std::size_t a = 0; a < g.spec.lb.size(); ++a) {
-      if (g.spec.lb[a] < 0) {
-        throw ShapeError("fold generator lower bound " +
-                         index_to_string(g.spec.lb) + " is negative");
+    for (const auto c : g.spec.lb) {
+      if (c < 0) {
+        detail::throw_fold_lower_bound(g.spec.lb);
       }
     }
   }
 
-  void validate_striding(const GeneratorSpec& g) const {
+  static void validate_striding(const GeneratorSpec& g) {
+    if (g.step.empty() && g.width.empty()) {
+      return;
+    }
     if (!g.step.empty() && g.step.size() != g.lb.size()) {
-      throw ShapeError("step vector rank mismatch in generator");
+      detail::throw_shape_error("step vector rank mismatch in generator");
     }
     if (!g.width.empty() && g.width.size() != g.lb.size()) {
-      throw ShapeError("width vector rank mismatch in generator");
+      detail::throw_shape_error("width vector rank mismatch in generator");
     }
     for (const auto s : g.step) {
       if (s < 1) {
-        throw ShapeError("generator step components must be >= 1");
+        detail::throw_shape_error("generator step components must be >= 1");
       }
     }
     for (std::size_t a = 0; a < g.width.size(); ++a) {
       if (g.width[a] < 1 || (!g.step.empty() && g.width[a] > g.step[a])) {
-        throw ShapeError("generator width must satisfy 1 <= width <= step");
+        detail::throw_shape_error("generator width must satisfy 1 <= width <= step");
       }
     }
   }
@@ -403,8 +574,7 @@ class With {
   void prevalidate(const Shape& shape) const {
     for (const auto& g : gens_) {
       if (static_cast<int>(g.spec.lb.size()) != shape.rank()) {
-        throw ShapeError("generator of rank " + std::to_string(g.spec.lb.size()) +
-                         " does not match result shape " + shape.to_string());
+        detail::throw_generator_rank(g.spec.lb.size(), shape);
       }
       validate_striding(g.spec);
     }
@@ -416,47 +586,85 @@ class With {
     }
   }
 
+  /// Sizes \p iv to \p rank and loads a plan row's outer components \p pre.
+  static void load_row(Index& iv, std::size_t rank, const std::int64_t* pre) {
+    iv.resize(rank);
+    if (rank > 1) {
+      std::copy(pre, pre + (rank - 1), iv.begin());
+    }
+  }
+
+  /// Calls `row(lo, hi)` for every contiguous last-axis run of \p g, in
+  /// row-major order, with \p iv holding the run's outer components (its
+  /// last component is the row runner's to set). A rank-0 generator is the
+  /// single run [0, 1) with an empty \p iv. A dense generator steps \p iv
+  /// as its own odometer; a strided one goes through walk_runs. Striding
+  /// must be validated and \p g must have members.
+  template <class Row>
+  static void for_rows(const GeneratorSpec& g, Index& iv, const Row& row) {
+    const std::size_t rank = g.lb.size();
+    if (!g.step.empty()) {
+      walk_runs(g, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
+        load_row(iv, rank, pre);
+        row(lo, hi);
+      });
+      return;
+    }
+    iv = g.lb;
+    if (rank == 0) {
+      row(std::int64_t{0}, std::int64_t{1});
+      return;
+    }
+    const std::size_t last = rank - 1;
+    while (true) {
+      row(g.lb[last], g.ub[last]);
+      std::size_t a = last;
+      while (true) {
+        if (a == 0) {
+          return;
+        }
+        --a;
+        if (++iv[a] < g.ub[a]) {
+          break;
+        }
+        iv[a] = g.lb[a];
+      }
+    }
+  }
+
   /// The generator evaluator, visit form: hands `visit(t, value)` the value
-  /// of every cell of generator \p g's last-axis run [lo, hi), t = j - lo,
-  /// where the cell's outer-axis components are \p pre (rank-1 of them).
-  /// \p iv is the caller's local index, sized to the generator's rank on
-  /// the first body evaluation, never for gen_val.
+  /// of every cell of \p g's last-axis run [lo, hi), t = j - lo, where \p iv
+  /// holds the run's outer components. A body generator costs one
+  /// row-runner call per detail::kRowChunk cells.
   template <class Visit>
-  static void eval_run(const Generator& g, const std::int64_t* pre,
-                       std::int64_t lo, std::int64_t hi, Index& iv,
+  static void eval_run(const Generator& g, Index& iv, std::int64_t lo, std::int64_t hi,
                        const Visit& visit) {
-    if (g.is_const) {
+    if (g.is_const()) {
       for (std::int64_t t = 0; t < hi - lo; ++t) {
         visit(t, g.const_val);
       }
       return;
     }
-    const std::size_t rank = g.spec.lb.size();
-    iv.resize(rank);
-    if (rank == 0) {
-      visit(std::int64_t{0}, g.body(iv));
-      return;
-    }
-    for (std::size_t a = 0; a + 1 < rank; ++a) {
-      iv[a] = pre[a];
-    }
-    for (std::int64_t j = lo; j < hi; ++j) {
-      iv[rank - 1] = j;
-      visit(j - lo, g.body(iv));
+    storage buf[detail::kRowChunk];
+    for (std::int64_t c = lo; c < hi; c += detail::kRowChunk) {
+      const std::int64_t e = std::min(hi, c + detail::kRowChunk);
+      g.body.run(iv, c, e, buf);
+      for (std::int64_t t = 0; t < e - c; ++t) {
+        visit(c - lo + t, static_cast<T>(buf[t]));
+      }
     }
   }
 
   /// The generator evaluator, store form: writes the run's cells to
-  /// `out[0, hi - lo)` (`std::fill` for constant generators).
-  static void store_run(const Generator& g, const std::int64_t* pre,
-                        std::int64_t lo, std::int64_t hi, Index& iv,
+  /// `out[0, hi - lo)` — `std::fill` for constant generators, one
+  /// row-runner call otherwise.
+  static void store_run(const Generator& g, Index& iv, std::int64_t lo, std::int64_t hi,
                         storage* out) {
-    if (g.is_const) {
+    if (g.is_const()) {
       std::fill(out, out + (hi - lo), static_cast<storage>(g.const_val));
       return;
     }
-    eval_run(g, pre, lo, hi, iv,
-             [out](std::int64_t t, const T& v) { out[t] = static_cast<storage>(v); });
+    g.body.run(iv, lo, hi, out);
   }
 
   /// Dense (unstrided) constant generator, written as nested strided
@@ -538,9 +746,9 @@ class With {
 
   /// Sequential execution without a SegmentPlan: generators run in order
   /// (later overwrites earlier — the overlap rule needs no setup-time
-  /// resolution when execution is ordered), each over its walked runs. This
-  /// keeps tiny with-loops — sudoku's addNumber touches ~3N cells per call
-  /// — free of plan-building cost, and pure gen_val loops allocation-free.
+  /// resolution when execution is ordered), each over its rows. This keeps
+  /// tiny with-loops — sudoku's addNumber touches ~3N cells per call — free
+  /// of plan-building cost, and allocation-free.
   void apply_seq(Array<T>& result, const Shape& shp, const Index& ests) const {
     storage* out = nullptr;  // detach lazily: empty loops must not COW
     const Index strides = shp.strides();
@@ -554,29 +762,29 @@ class With {
       if (out == nullptr) {
         out = result.mutable_data().data();
       }
-      if (g.is_const && g.spec.step.empty()) {
+      if (g.is_const() && g.spec.step.empty()) {
         fill_dense(g.spec, out, strides, static_cast<storage>(g.const_val));
         continue;
       }
-      walk_runs(g.spec, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
+      for_rows(g.spec, iv, [&](std::int64_t lo, std::int64_t hi) {
         std::int64_t base = lo;
         for (std::size_t a = 0; a < outer; ++a) {
-          base += pre[a] * strides[a];
+          base += iv[a] * strides[a];
         }
-        store_run(g, pre, lo, hi, iv, out + base);
+        store_run(g, iv, lo, hi, out + base);
       });
     }
   }
 
   void apply_generators(Array<T>& result, const Context& ctx) const {
     const Shape& shp = result.shape();
-    prevalidate(shp);
     // One member count per generator per apply; doubles as the size
     // trigger for the plan-free sequential path. Inline up to four
     // generators, like gens_ — this runs on every with-loop call.
     Index ests(gens_.size(), 0);
     std::int64_t total = 0;
     for (std::size_t gi = 0; gi < gens_.size(); ++gi) {
+      validate_striding(gens_[gi].spec);  // before any member-count division by step
       ests[gi] = member_count(gens_[gi].spec);
       validate_against(gens_[gi], shp, ests[gi]);
       total += ests[gi];
@@ -586,8 +794,15 @@ class With {
     }
     if (ctx.threads <= 1 || total < ctx.grain) {
       apply_seq(result, shp, ests);
-      return;
+    } else {
+      apply_parallel(result, ctx, total);
     }
+  }
+
+  /// The chunked apply of a with-loop of at least ctx.grain cells.
+  [[gnu::noinline]] void apply_parallel(Array<T>& result, const Context& ctx,
+                                        std::int64_t total) const {
+    const Shape& shp = result.shape();
     const SegmentPlan plan = build_plan(shp, /*resolve_overlap=*/true,
                                         /*with_complement=*/false, total, ctx);
     if (plan.segments().empty()) {
@@ -596,35 +811,32 @@ class With {
     // Detach once, before chunking; every chunk writes disjoint cells.
     storage* out = result.mutable_data().data();
     const auto n = static_cast<std::int64_t>(plan.segments().size());
+    const auto rank = static_cast<std::size_t>(shp.rank());
     detail::run_over_segments(n, plan.total_elements(), ctx,
                               [&](std::int64_t lo, std::int64_t hi) {
       Index iv;
       for (std::int64_t si = lo; si < hi; ++si) {
         const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
-        store_run(gens_[static_cast<std::size_t>(s.gen)], plan.prefix_at(s.prefix),
-                  s.col_lo, s.col_hi, iv, out + s.base);
+        load_row(iv, rank, plan.prefix_at(s.prefix));
+        store_run(gens_[static_cast<std::size_t>(s.gen)], iv, s.col_lo, s.col_hi,
+                  out + s.base);
       }
     });
   }
 
+  /// The chunked fold of one generator of at least ctx.grain cells. Out
+  /// of line, like apply_parallel: inlined, the plan and executor code
+  /// would crowd the small sequential path out of its caller's inlining.
   template <class C>
-  T fold_generator(const Generator& g, const C& combine, T acc,
-                   const T& neutral, const Context& ctx,
-                   std::int64_t est) const {
-    if (ctx.threads <= 1 || est < ctx.grain) {
-      // Plan-free sequential fold over the generator's walked runs.
-      Index iv;
-      walk_runs(g.spec, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
-        eval_run(g, pre, lo, hi, iv,
-                 [&](std::int64_t, const T& v) { acc = combine(acc, v); });
-      });
-      return acc;
-    }
+  [[gnu::noinline]] T fold_parallel(const Generator& g, const C& combine, T acc,
+                                    const T& neutral, const Context& ctx,
+                                    std::int64_t est) const {
     // Fold has no result array: decompose against the generator's own
     // bounding shape (lb >= 0 was validated; linear bases are unused).
     const Shape bounding(g.spec.ub);
     const SegmentPlan plan({g.spec}, bounding, /*resolve_overlap=*/false,
                            /*with_complement=*/false, detail::segment_cap(est, ctx));
+    const std::size_t rank = g.spec.lb.size();
     return detail::fold_over_segments(
         static_cast<std::int64_t>(plan.segments().size()), plan.total_elements(),
         detail::plan_cells(plan), ctx, std::move(acc), neutral, combine,
@@ -632,7 +844,8 @@ class With {
           Index iv;
           for (std::int64_t si = lo; si < hi; ++si) {
             const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
-            eval_run(g, plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv,
+            load_row(iv, rank, plan.prefix_at(s.prefix));
+            eval_run(g, iv, s.col_lo, s.col_hi,
                      [&](std::int64_t, const T& v) { part = combine(part, v); });
           }
           return part;
@@ -769,6 +982,7 @@ class Fused {
   template <class Emit>
   void run_segments(const SegmentPlan& plan, std::int64_t lo, std::int64_t hi,
                     const detail::storage_t<T>* sp, const Emit& emit) const {
+    const auto rank = static_cast<std::size_t>(shape_.rank());
     Index iv;
     for (std::int64_t si = lo; si < hi; ++si) {
       const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
@@ -776,8 +990,9 @@ class Fused {
         run_cells(s.base, s.base + s.count(), sp, emit);
         continue;
       }
-      With<T>::eval_run(with_.gens_[static_cast<std::size_t>(s.gen)],
-                        plan.prefix_at(s.prefix), s.col_lo, s.col_hi, iv,
+      With<T>::load_row(iv, rank, plan.prefix_at(s.prefix));
+      const auto& g = with_.gens_[static_cast<std::size_t>(s.gen)];
+      With<T>::eval_run(g, iv, s.col_lo, s.col_hi,
                         [&](std::int64_t t, const T& v) { emit(s.base + t, v); });
     }
   }

@@ -29,21 +29,31 @@ Index Shape::strides() const {
   return s;
 }
 
-std::int64_t Shape::linearize(const Index& iv) const {
-  if (static_cast<int>(iv.size()) != rank()) {
-    throw ShapeError("index " + index_to_string(iv) + " has rank " +
-                     std::to_string(iv.size()) + ", array has rank " +
-                     std::to_string(rank()));
-  }
+std::int64_t Shape::linearize_any(const Index& iv) const {
   std::int64_t off = 0;
   for (std::size_t a = 0; a < dims_.size(); ++a) {
     if (iv[a] < 0 || iv[a] >= dims_[a]) {
-      throw ShapeError("index " + index_to_string(iv) + " out of bounds for shape " +
-                       to_string());
+      throw_out_of_bounds(iv);
     }
     off = off * dims_[a] + iv[a];
   }
   return off;
+}
+
+void Shape::throw_axis_out_of_range(int axis) const {
+  throw std::out_of_range("axis " + std::to_string(axis) + " out of range for shape " +
+                          to_string());
+}
+
+void Shape::throw_rank_mismatch(const Index& iv) const {
+  throw ShapeError("index " + index_to_string(iv) + " has rank " +
+                   std::to_string(iv.size()) + ", array has rank " +
+                   std::to_string(rank()));
+}
+
+void Shape::throw_out_of_bounds(const Index& iv) const {
+  throw ShapeError("index " + index_to_string(iv) + " out of bounds for shape " +
+                   to_string());
 }
 
 bool Shape::contains(const Index& iv) const {
@@ -111,5 +121,31 @@ std::string index_to_string(const Index& iv) {
   os << ']';
   return os.str();
 }
+
+namespace detail {
+
+void throw_shape_error(const char* what) { throw ShapeError(what); }
+
+void throw_bounds_rank(const Index& lb, const Index& ub) {
+  throw ShapeError("generator bounds " + index_to_string(lb) + " and " +
+                   index_to_string(ub) + " differ in rank");
+}
+
+void throw_generator_rank(std::size_t rank, const Shape& target) {
+  throw ShapeError("generator of rank " + std::to_string(rank) +
+                   " does not match result shape " + target.to_string());
+}
+
+void throw_generator_range(const Index& lb, const Index& ub, const Shape& target) {
+  throw ShapeError("generator range " + index_to_string(lb) + " .. " +
+                   index_to_string(ub) + " exceeds result shape " + target.to_string());
+}
+
+void throw_fold_lower_bound(const Index& lb) {
+  throw ShapeError("fold generator lower bound " + index_to_string(lb) +
+                   " is negative");
+}
+
+}  // namespace detail
 
 }  // namespace sac

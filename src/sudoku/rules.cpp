@@ -59,9 +59,9 @@ int options_at(const OptsArray& opts, int i, int j) {
   const std::int64_t N = opts.shape().extent(2);
   const std::int64_t I = i;
   const std::int64_t J = j;
-  // SaC: fold-with-loop over the option vector of one cell. Kept in the
-  // paper's per-element form; the row is one contiguous run, which the
-  // compiled fold engine walks without building index vectors per element.
+  // SaC: fold-with-loop over the option vector of one cell, in the paper's
+  // form. The row is one contiguous run: the engine evaluates it with one
+  // row-runner call, the body and the combine inlined.
   return sac::With<int>()
       .gen({I, J, 0}, {I + 1, J + 1, N},
            [&](const sac::Index& iv) { return opts[iv] ? 1 : 0; })
@@ -125,8 +125,9 @@ std::optional<std::pair<int, int>> find_min_trues(const BoardArray& board,
   const std::int64_t N = board_size(board);
   // SaC-style: materialise the per-cell option counts with a
   // genarray-with-loop (filled cells get a sentinel), then locate the
-  // minimum. The body captures only the two arrays, which keeps it inside
-  // std::function's inline buffer.
+  // minimum. The body captures only the two arrays, so the with-loop
+  // stores it inline (up to 32 bytes of captures) and allocates nothing
+  // for it.
   const sac::Array<int> counts =
       sac::With<int>()
           .gen({0, 0}, {N, N},

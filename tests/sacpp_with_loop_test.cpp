@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <random>
 #include <set>
 #include <thread>
@@ -289,7 +292,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadSweep, WithLoopParallel,
 //
 // Every body evaluation of the outer loop runs an inner loop, the shape of
 // is_stuck (whose body runs options_at's fold). Both levels are parallel,
-// so inner loops take scratch indices while the outer one is in use, on
+// so inner loops build their own indices while the outer one is in use, on
 // the evaluating thread and on workers that help in a join; the outer
 // body reads its index again after the inner loop returns. Each level runs
 // on the compiled engine at `ctx`, or on the reference engine when `ctx`
@@ -368,9 +371,10 @@ TEST(WithLoopReentrancy, GenarrayWhoseBodyRunsAGenarray) {
 // ---- Randomized compiled-vs-reference equivalence -----------------------
 //
 // The two engines share nothing but the generator list: the reference engine
-// (with_loop_reference.hpp) walks elements recursively through std::function
-// bodies; the compiled engine decomposes into row segments with setup-time
-// overlap resolution. Bit-identical results over random shapes/generators/
+// (with_loop_reference.hpp) walks elements recursively and calls each body
+// once per cell; the compiled engine runs whole rows through the body's row
+// runner and decomposes into row segments with setup-time overlap
+// resolution. Bit-identical results over random shapes/generators/
 // striding are the strongest cheap evidence the decomposition is right.
 
 namespace {
@@ -389,6 +393,9 @@ struct CaseRanges {
 };
 /// The paper's ranks (every sudoku array is rank 2 or 3).
 constexpr CaseRanges kLowRanks{0, 3, 1, 9, 0};
+/// Rows longer than the row runner's chunk (sac::detail::kRowChunk) and,
+/// under kPar4, runs split into several plan segments.
+constexpr CaseRanges kLongRows{1, 2, 1, 300, 0};
 /// Ranks past sac::Index's inline capacity (4): shapes, bounds, strides
 /// and body indices all spill to the heap. Generators are never empty:
 /// at these ranks a generator with any empty axis — most of them, with
@@ -501,16 +508,19 @@ void check_fold(std::uint32_t seed, int trials, const CaseRanges& ranges) {
 TEST(WithLoopEquivalence, RandomGenarrayCompiledMatchesReference) {
   check_genarray(20260808, 300, kLowRanks);
   check_genarray(71, 60, kHighRanks);
+  check_genarray(81, 40, kLongRows);
 }
 
 TEST(WithLoopEquivalence, RandomModarrayCompiledMatchesReference) {
   check_modarray(977, 200, kLowRanks);
   check_modarray(72, 60, kHighRanks);
+  check_modarray(82, 40, kLongRows);
 }
 
 TEST(WithLoopEquivalence, RandomFoldCompiledMatchesReference) {
   check_fold(4242, 200, kLowRanks);
   check_fold(73, 60, kHighRanks);
+  check_fold(83, 40, kLongRows);
 }
 
 TEST(WithLoopEquivalence, RandomBoolGenarrayCompiledMatchesReference) {
@@ -527,5 +537,103 @@ TEST(WithLoopEquivalence, RandomBoolGenarrayCompiledMatchesReference) {
                        .gen_val({cut / 2}, {cut}, true);
     const auto ref = Ref::genarray(w, Shape{n}, false);
     ASSERT_EQ(w.genarray(Shape{n}, false, kCompiled1), ref) << "trial " << trial;
+  }
+}
+
+// ---- Body kinds ------------------------------------------------------------
+//
+// `gen` stores any callable behind one row runner per body type: small
+// bodies inline, larger ones on the heap. Whatever the kind, every engine
+// path must agree with the oracle, which calls the body cell by cell; the
+// rows here (150 cells) cross the runner's chunk.
+
+namespace {
+
+int plane_body(const Index& iv) { return static_cast<int>(iv[0] * 1009 + iv[1] * 7); }
+
+/// genarray, modarray, fold and a fused chain of \p w over a 40x150 shape,
+/// sequential and parallel, against the oracle; also through a copy of
+/// \p w (body storage is copied with the with-loop).
+void expect_body_matches_reference(const With<int>& w) {
+  const Shape shape{40, 150};
+  Array<int> src(shape, 0);
+  auto& buf = src.mutable_data();
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<int>(i % 97);
+  }
+  const auto plus = [](int a, int b) { return a + b; };
+  const With<int> copy = w;
+  for (const With<int>* x : {&w, &copy}) {
+    const auto ref = Ref::genarray(*x, shape, -3);
+    const auto mod_ref = Ref::modarray(*x, src);
+    const int fold_ref = Ref::fold(*x, plus, 0);
+    for (const Context& ctx : {kCompiled1, kPar4}) {
+      EXPECT_EQ(x->genarray(shape, -3, ctx), ref);
+      EXPECT_EQ(x->modarray(src, ctx), mod_ref);
+      EXPECT_EQ(x->fold(plus, 0, ctx), fold_ref);
+      EXPECT_EQ(x->lazy_genarray(shape, -3).to_array(ctx), ref);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(WithLoopBodyKinds, StdFunctionBody) {
+  const std::function<int(const Index&)> f = [](const Index& iv) {
+    return static_cast<int>(iv[0] - 3 * iv[1]);
+  };
+  expect_body_matches_reference(
+      With<int>().gen({1, 0}, {40, 150}, f).gen({0, 5}, {3, 150}, f));
+}
+
+TEST(WithLoopBodyKinds, FunctionPointerBody) {
+  expect_body_matches_reference(
+      With<int>().gen({0, 2}, {39, 150}, &plane_body).gen_incl({4, 0}, {9, 149},
+                                                                plane_body));
+}
+
+TEST(WithLoopBodyKinds, LambdaCapturingMoreThan16Bytes) {
+  const std::int64_t a = 3;
+  const std::int64_t b = -5;
+  const std::int64_t c = 11;
+  // 24 bytes of captures: still stored inline.
+  const auto three = [a, b, c](const Index& iv) {
+    return static_cast<int>(a * iv[0] + b * iv[1] + c);
+  };
+  // 48 bytes of captures: stored on the heap.
+  const std::array<std::int64_t, 6> k{1, 2, 3, 4, 5, 6};
+  const auto six = [k](const Index& iv) {
+    return static_cast<int>(k[static_cast<std::size_t>(iv[1] % 6)] * iv[0]);
+  };
+  static_assert(sizeof(three) > 16 && sizeof(six) > sac::detail::Body<int>::kInlineBytes);
+  expect_body_matches_reference(
+      With<int>().gen({0, 0}, {40, 150}, three).gen({7, 9}, {30, 140}, six));
+}
+
+TEST(WithLoopBodyKinds, BodyThrowingMidRowReachesTheCaller) {
+  struct BodyError : std::runtime_error {
+    BodyError() : std::runtime_error("body failed") {}
+  };
+  // Row 5 of the generator fails at its 100th cell, with cells before it
+  // in the same row already evaluated.
+  const auto w = With<int>().gen({0, 0}, {40, 150}, [](const Index& iv) {
+    if (iv[0] == 5 && iv[1] == 100) {
+      throw BodyError();
+    }
+    return static_cast<int>(iv[0] + iv[1]);
+  });
+  const Shape shape{40, 150};
+  const Array<int> src(shape, 7);
+  const Array<int> snapshot = src;
+  const auto plus = [](int a, int b) { return a + b; };
+  for (const Context& ctx : {kCompiled1, kPar4}) {
+    EXPECT_THROW(w.genarray(shape, 0, ctx), BodyError);
+    EXPECT_THROW(w.modarray(src, ctx), BodyError);
+    EXPECT_THROW(w.fold(plus, 0, ctx), BodyError);
+    EXPECT_THROW(w.lazy_modarray(src).to_array(ctx), BodyError);
+    // `snapshot` shares src's buffer, so compare with a fresh array too: a
+    // modarray writing into the shared buffer would change both.
+    EXPECT_EQ(src, snapshot);
+    EXPECT_EQ(src.data(), Array<int>(shape, 7).data());
   }
 }

@@ -5,11 +5,12 @@
 /// The interpreted with-loop engine: the equivalence oracle of the with-loop
 /// and fusion tests. It shares nothing with the compiled engine
 /// (sacpp/with_loop.hpp) but the generator list: it walks every generator
-/// element by recursive per-axis iteration, calls the `Body` through
-/// `std::function` and linearises the full index vector per cell. Fused
-/// chains materialise their root and then apply the stages elementwise,
-/// unfused. Sequential only; it reaches the generator list and the chain
-/// state through the `sac::testing::ReferenceEngine` friend hook.
+/// element by recursive per-axis iteration, calls the body once per cell
+/// (its per-cell entry, never the row runner) and linearises the full
+/// index vector per cell. Fused chains materialise their root and then
+/// apply the stages elementwise, unfused. Sequential only; it reaches the
+/// generator list and the chain state through the
+/// `sac::testing::ReferenceEngine` friend hook.
 
 #include <cstdint>
 #include <type_traits>
@@ -84,7 +85,7 @@ struct ReferenceEngine {
  private:
   template <class T>
   static T eval(const typename With<T>::Generator& g, const Index& iv) {
-    return g.is_const ? g.const_val : g.body(iv);
+    return g.is_const() ? g.const_val : g.body(iv);
   }
 
   /// Writes every generator's elements in generator order, so a later
