@@ -64,42 +64,45 @@ inline std::int64_t member_count(const GeneratorSpec& g) {
   return n;
 }
 
-/// The striding odometer: calls `run(pre, col_lo, col_hi)` for every
-/// contiguous last-axis run of generator \p g, in row-major order. `pre`
-/// points at the rank-1 outer-axis components during each call; a rank-0
-/// generator is the single run [0, 1). Striding must be validated first.
+/// The generator odometer: calls `run(lo, hi)` for every contiguous
+/// last-axis run [lo, hi) of generator \p g, in row-major order. It steps
+/// \p iv in place, sized to the generator's rank: during each call
+/// iv[0, rank-1) holds the run's outer components, and the last component
+/// is the caller's to set. A rank-0 generator is the single run [0, 1)
+/// with an empty \p iv. Striding must be validated first.
 template <class RunFn>
-void walk_runs(const GeneratorSpec& g, const RunFn& run) {
+void walk_runs(const GeneratorSpec& g, Index& iv, const RunFn& run) {
+  iv = g.lb;
   const std::size_t rank = g.lb.size();
-  const std::size_t last = rank == 0 ? 0 : rank - 1;
-  Index pre(g.lb.begin(), g.lb.begin() + last);
   if (rank == 0) {
-    run(std::as_const(pre).data(), std::int64_t{0}, std::int64_t{1});
+    run(std::int64_t{0}, std::int64_t{1});
     return;
   }
+  const std::size_t last = rank - 1;
+  const bool dense = g.step.empty();
   const std::int64_t lb_l = g.lb[last];
   const std::int64_t ub_l = g.ub[last];
-  const std::int64_t st_l = g.step.empty() ? 0 : g.step[last];
-  const std::int64_t wd_l = g.width.empty() ? 1 : (st_l ? g.width[last] : 1);
   while (true) {
-    if (st_l == 0) {
-      run(std::as_const(pre).data(), lb_l, ub_l);
+    if (dense) {
+      run(lb_l, ub_l);
     } else {
+      const std::int64_t st_l = g.step[last];
+      const std::int64_t wd_l = g.width.empty() ? 1 : g.width[last];
       for (std::int64_t s = lb_l; s < ub_l; s += st_l) {
-        run(std::as_const(pre).data(), s, std::min(s + wd_l, ub_l));
+        run(s, std::min(s + wd_l, ub_l));
       }
     }
     // Advance the outer-axis odometer (axis last-1 fastest), honouring
     // striding by jumping past non-member positions.
-    if (last == 0) {
-      return;  // rank 1: a single outer combination
-    }
     std::size_t a = last;
     while (true) {
+      if (a == 0) {
+        return;
+      }
       --a;
-      std::int64_t& p = pre[a];
+      std::int64_t& p = iv[a];
       ++p;
-      if (!g.step.empty()) {
+      if (!dense) {
         const std::int64_t st = g.step[a];
         const std::int64_t wd = g.width.empty() ? 1 : g.width[a];
         if ((p - g.lb[a]) % st >= wd) {
@@ -110,9 +113,6 @@ void walk_runs(const GeneratorSpec& g, const RunFn& run) {
         break;
       }
       p = g.lb[a];
-      if (a == 0) {
-        return;
-      }
     }
   }
 }

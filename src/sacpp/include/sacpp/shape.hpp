@@ -103,22 +103,25 @@ class Shape {
  private:
   void validate() const;
   /// linearize at rank R: a fixed trip count the compiler unrolls, and one
-  /// branch for all the bounds checks.
+  /// branch for all the bounds checks. The offset accumulates unsigned, so
+  /// an out-of-range component wraps harmlessly before the check rejects it.
   template <std::size_t R>
   [[gnu::always_inline]] std::int64_t linearize_rank(const Index& iv) const {
     const std::int64_t* c = iv.data();
     const std::int64_t* d = dims_.data();
     bool in = true;
-    std::int64_t off = 0;
+    std::uint64_t off = 0;
     for (std::size_t a = 0; a < R; ++a) {
+      const auto ca = static_cast<std::uint64_t>(c[a]);
+      const auto da = static_cast<std::uint64_t>(d[a]);
       // One unsigned compare catches both negative and too-large components.
-      in &= static_cast<std::uint64_t>(c[a]) < static_cast<std::uint64_t>(d[a]);
-      off = off * d[a] + c[a];
+      in &= ca < da;
+      off = off * da + ca;
     }
     if (!in) [[unlikely]] {
       throw_out_of_bounds(iv);
     }
-    return off;
+    return static_cast<std::int64_t>(off);
   }
   std::int64_t linearize_any(const Index& iv) const;
 

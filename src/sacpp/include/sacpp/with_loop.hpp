@@ -23,24 +23,24 @@
 /// location [3] ... is set to 2 rather than to 1").
 ///
 /// The engine is *compiled*: the unit of execution is the contiguous row
-/// run of a generator. Small sequential with-loops step through a dense
-/// generator's rows with a direct odometer (strided ones through
-/// `walk_runs`, segment_plan.hpp) in generator order; larger ones are
-/// decomposed into a SegmentPlan (overlap resolved at setup, so no cell is
-/// written twice) whose segment ranges executor chunking distributes.
-/// `gen` takes its body as a template parameter and keeps it type-erased
-/// behind one *row runner* per body type (detail::Body): a function
-/// pointer whose loop over the run's cells has the body inlined. The engine
-/// pays one indirect call per row — `std::fill` for constant generators —
-/// and `fold` takes its combine as a template parameter too, so the
-/// combine inlines into the loop over the runner's output. The runner's
-/// `iv` is a local `Index` of the evaluating call (inline up to rank 4), so
-/// a body evaluation allocates nothing and a body that runs a with-loop of
-/// its own (`is_stuck` runs `options_at`) simply has its own. The tests
-/// compare the engine against an interpreted per-element one
-/// (tests/with_loop_reference.hpp), which calls each body cell by cell and
-/// reaches the generator list through the `testing::ReferenceEngine`
-/// friend hook below.
+/// run of a generator. Small sequential with-loops walk each generator's
+/// rows with `walk_runs` (segment_plan.hpp), in generator order; larger
+/// ones are decomposed into a SegmentPlan (overlap resolved at setup, so no
+/// cell is written twice) whose segment ranges executor chunking
+/// distributes. `gen` takes its body as a template parameter, keeps it in
+/// a `std::function` and adds one *row runner* per body type: a function
+/// pointer that gets the body back from the `std::function` and loops over
+/// the run's cells with the body inlined. The engine pays one indirect
+/// call per row — `std::fill` for constant generators — and `fold` takes
+/// its combine as a template parameter too, so the combine inlines into
+/// the loop over the runner's output. The runner's `iv` is a local `Index`
+/// of the evaluating call (inline up to rank 4), so a body evaluation
+/// allocates nothing and a body that runs a with-loop of its own
+/// (`is_stuck` runs `options_at`) simply has its own. The tests compare
+/// the engine against an interpreted per-element one
+/// (tests/with_loop_reference.hpp), which calls each body through its
+/// `std::function`, cell by cell, and reaches the generator list through
+/// the `testing::ReferenceEngine` friend hook below.
 ///
 /// `Fused` (below) extends the compiled engine across *chains* of
 /// with-loops: elementwise consumers (map / zip_with / fold) run inside the
@@ -48,7 +48,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <new>
+#include <functional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -206,149 +206,6 @@ inline auto plan_cells(const SegmentPlan& plan) {
 /// writes them to a stack buffer, which the consumer then walks.
 inline constexpr std::int64_t kRowChunk = 64;
 
-/// What a type-erased with-loop body can do, one table per body type.
-template <class T>
-struct BodyOps {
-  /// The row runner: writes the body's value at every cell of the row
-  /// [lo, hi) to out[0, hi - lo). \p iv holds the row's outer components;
-  /// the runner sets its last one. A rank-0 iv is the single cell [0, 1).
-  void (*run)(void* body, Index& iv, std::int64_t lo, std::int64_t hi,
-              storage_t<T>* out);
-  /// One body evaluation at \p iv: the test oracle's per-cell entry.
-  T (*call)(void* body, const Index& iv);
-  /// Copy-construct at \p dst.
-  void (*copy)(void* dst, const void* src);
-  /// Move-construct at \p dst and destroy \p src.
-  void (*relocate)(void* dst, void* src) noexcept;
-  void (*destroy)(void* body) noexcept;
-};
-
-/// The body of type F, stored in a Body's buffer (kInline) or on the heap
-/// with its pointer in the buffer.
-template <class T, class F, bool kInline>
-struct BodyModel {
-  static F& get(void* p) {
-    if constexpr (kInline) {
-      return *std::launder(static_cast<F*>(p));
-    } else {
-      return **std::launder(static_cast<F**>(p));
-    }
-  }
-
-  static void run(void* p, Index& iv, std::int64_t lo, std::int64_t hi,
-                  storage_t<T>* out) {
-    F& f = get(p);
-    const Index& civ = iv;
-    if (iv.empty()) {
-      *out = static_cast<storage_t<T>>(static_cast<T>(f(civ)));
-      return;
-    }
-    std::int64_t& col = iv[iv.size() - 1];
-    for (std::int64_t j = lo; j < hi; ++j) {
-      col = j;
-      *out++ = static_cast<storage_t<T>>(static_cast<T>(f(civ)));
-    }
-  }
-
-  static T call(void* p, const Index& iv) { return static_cast<T>(get(p)(iv)); }
-
-  static void copy(void* dst, const void* src) {
-    const F& from = get(const_cast<void*>(src));
-    if constexpr (kInline) {
-      ::new (dst) F(from);
-    } else {
-      ::new (dst) F*(new F(from));
-    }
-  }
-  static void relocate(void* dst, void* src) noexcept {
-    if constexpr (kInline) {
-      F& from = get(src);
-      ::new (dst) F(std::move(from));
-      from.~F();
-    } else {
-      ::new (dst) F*(&get(src));  // the heap body changes hands
-    }
-  }
-  static void destroy(void* p) noexcept {
-    if constexpr (kInline) {
-      get(p).~F();
-    } else {
-      delete &get(p);
-    }
-  }
-
-  static constexpr BodyOps<T> kOps{&run, &call, &copy, &relocate, &destroy};
-};
-
-/// A with-loop generator's body, type-erased: a callable `T(const Index&)`
-/// stored inline when it is small (a lambda capturing up to four pointers,
-/// a function pointer, a `std::function`) and on the heap otherwise, with
-/// its row runner. Empty for constant generators.
-template <class T>
-class Body {
- public:
-  static constexpr std::size_t kInlineBytes = 32;
-
-  Body() = default;
-
-  template <class F, class D = std::decay_t<F>>
-  explicit Body(F&& f) {
-    static_assert(std::is_invocable_v<D&, const Index&>,
-                  "a with-loop body is callable as body(const sac::Index&)");
-    static_assert(std::is_copy_constructible_v<D>, "a with-loop body is copyable");
-    constexpr bool kInline = sizeof(D) <= kInlineBytes &&
-                             alignof(D) <= alignof(std::max_align_t) &&
-                             std::is_nothrow_move_constructible_v<D>;
-    if constexpr (kInline) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-    }
-    ops_ = &BodyModel<T, D, kInline>::kOps;
-  }
-
-  Body(const Body& other) {
-    if (other.ops_ != nullptr) {
-      other.ops_->copy(buf_, other.buf_);
-      ops_ = other.ops_;
-    }
-  }
-  Body(Body&& other) noexcept { take(other); }
-  Body& operator=(Body other) noexcept {
-    reset();
-    take(other);
-    return *this;
-  }
-  ~Body() { reset(); }
-
-  bool empty() const { return ops_ == nullptr; }
-
-  /// The row runner (see BodyOps::run).
-  void run(Index& iv, std::int64_t lo, std::int64_t hi, storage_t<T>* out) const {
-    ops_->run(buf_, iv, lo, hi, out);
-  }
-  /// One body evaluation.
-  T operator()(const Index& iv) const { return ops_->call(buf_, iv); }
-
- private:
-  void take(Body& other) noexcept {
-    if (other.ops_ != nullptr) {
-      other.ops_->relocate(buf_, other.buf_);
-      ops_ = std::exchange(other.ops_, nullptr);
-    }
-  }
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  const BodyOps<T>* ops_ = nullptr;
-  // Mutable like std::function's target: a body is called as non-const.
-  alignas(std::max_align_t) mutable unsigned char buf_[kInlineBytes];
-};
-
 }  // namespace detail
 
 template <class T, class Post = detail::IdentityStage>
@@ -452,7 +309,7 @@ class With {
       if (ctx.threads <= 1 || est < ctx.grain) {
         // Plan-free sequential fold over the generator's rows.
         Index iv;
-        for_rows(g.spec, iv, [&](std::int64_t lo, std::int64_t hi) {
+        walk_runs(g.spec, iv, [&](std::int64_t lo, std::int64_t hi) {
           eval_run(g, iv, lo, hi,
                    [&](std::int64_t, const T& v) { acc = combine(acc, v); });
         });
@@ -471,18 +328,55 @@ class With {
   struct ConstTag {};
   static constexpr ConstTag kConst{};
 
+  using Body = std::function<T(const Index&)>;
+
+  /// A row runner: writes the body's value at every cell of the row
+  /// [lo, hi) to out[0, hi - lo). \p iv holds the row's outer components;
+  /// the runner sets its last one. A rank-0 iv is the single cell [0, 1).
+  using RowRunner = void (*)(Body& body, Index& iv, std::int64_t lo, std::int64_t hi,
+                             storage* out);
+
+  /// The row runner of a body of type F: the loop calls F directly, so the
+  /// body inlines into it. A body given as a `Body` (or an empty one) is
+  /// called through the `std::function`.
+  template <class F>
+  static void run_row(Body& body, Index& iv, std::int64_t lo, std::int64_t hi,
+                      storage* out) {
+    auto& f = [&]() -> auto& {
+      if constexpr (std::is_same_v<F, Body>) {
+        return body;
+      } else {
+        return *body.template target<F>();
+      }
+    }();
+    const Index& civ = iv;
+    if (iv.empty()) {
+      *out = static_cast<storage>(static_cast<T>(f(civ)));
+      return;
+    }
+    std::int64_t& col = iv[iv.size() - 1];
+    for (std::int64_t j = lo; j < hi; ++j) {
+      col = j;
+      *out++ = static_cast<storage>(static_cast<T>(f(civ)));
+    }
+  }
+
   /// Built in place by gen / gen_val.
   struct Generator {
-    template <class F>
+    template <class F, class D = std::decay_t<F>>
     Generator(Index&& lb, Index&& ub, F&& f)
-        : spec{std::move(lb), std::move(ub), {}, {}}, body(std::forward<F>(f)) {}
+        : spec{std::move(lb), std::move(ub), {}, {}},
+          body(std::forward<F>(f)),
+          run(body ? &run_row<D> : &run_row<Body>) {}
     Generator(Index&& lb, Index&& ub, ConstTag, T value)
         : spec{std::move(lb), std::move(ub), {}, {}}, const_val(std::move(value)) {}
 
-    bool is_const() const { return body.empty(); }
+    bool is_const() const { return run == nullptr; }
 
     GeneratorSpec spec;
-    detail::Body<T> body;  // empty for constant (gen_val) generators
+    // Mutable like std::function's target: a body is called as non-const.
+    mutable Body body;       // empty for constant (gen_val) generators
+    RowRunner run = nullptr;  // null for constant generators
     T const_val{};
   };
 
@@ -594,44 +488,6 @@ class With {
     }
   }
 
-  /// Calls `row(lo, hi)` for every contiguous last-axis run of \p g, in
-  /// row-major order, with \p iv holding the run's outer components (its
-  /// last component is the row runner's to set). A rank-0 generator is the
-  /// single run [0, 1) with an empty \p iv. A dense generator steps \p iv
-  /// as its own odometer; a strided one goes through walk_runs. Striding
-  /// must be validated and \p g must have members.
-  template <class Row>
-  static void for_rows(const GeneratorSpec& g, Index& iv, const Row& row) {
-    const std::size_t rank = g.lb.size();
-    if (!g.step.empty()) {
-      walk_runs(g, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
-        load_row(iv, rank, pre);
-        row(lo, hi);
-      });
-      return;
-    }
-    iv = g.lb;
-    if (rank == 0) {
-      row(std::int64_t{0}, std::int64_t{1});
-      return;
-    }
-    const std::size_t last = rank - 1;
-    while (true) {
-      row(g.lb[last], g.ub[last]);
-      std::size_t a = last;
-      while (true) {
-        if (a == 0) {
-          return;
-        }
-        --a;
-        if (++iv[a] < g.ub[a]) {
-          break;
-        }
-        iv[a] = g.lb[a];
-      }
-    }
-  }
-
   /// The generator evaluator, visit form: hands `visit(t, value)` the value
   /// of every cell of \p g's last-axis run [lo, hi), t = j - lo, where \p iv
   /// holds the run's outer components. A body generator costs one
@@ -648,7 +504,7 @@ class With {
     storage buf[detail::kRowChunk];
     for (std::int64_t c = lo; c < hi; c += detail::kRowChunk) {
       const std::int64_t e = std::min(hi, c + detail::kRowChunk);
-      g.body.run(iv, c, e, buf);
+      g.run(g.body, iv, c, e, buf);
       for (std::int64_t t = 0; t < e - c; ++t) {
         visit(c - lo + t, static_cast<T>(buf[t]));
       }
@@ -664,7 +520,7 @@ class With {
       std::fill(out, out + (hi - lo), static_cast<storage>(g.const_val));
       return;
     }
-    g.body.run(iv, lo, hi, out);
+    g.run(g.body, iv, lo, hi, out);
   }
 
   /// Dense (unstrided) constant generator, written as nested strided
@@ -766,7 +622,7 @@ class With {
         fill_dense(g.spec, out, strides, static_cast<storage>(g.const_val));
         continue;
       }
-      for_rows(g.spec, iv, [&](std::int64_t lo, std::int64_t hi) {
+      walk_runs(g.spec, iv, [&](std::int64_t lo, std::int64_t hi) {
         std::int64_t base = lo;
         for (std::size_t a = 0; a < outer; ++a) {
           base += iv[a] * strides[a];

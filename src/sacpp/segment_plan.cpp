@@ -60,7 +60,9 @@ void SegmentPlan::decompose_generator(std::int32_t ordinal, const GeneratorSpec&
   // runs so executor chunking has grains to distribute.
   const std::size_t outer = g.lb.empty() ? 0 : g.lb.size() - 1;
   std::int64_t prefix_off = -1;
-  walk_runs(g, [&](const std::int64_t* pre, std::int64_t lo, std::int64_t hi) {
+  Index iv;
+  walk_runs(g, iv, [&](std::int64_t lo, std::int64_t hi) {
+    const std::int64_t* pre = iv.data();
     if (prefix_off < 0 ||
         !std::equal(pre, pre + outer, prefix_pool_.begin() + prefix_off)) {
       prefix_off = static_cast<std::int64_t>(prefix_pool_.size());

@@ -125,9 +125,8 @@ std::optional<std::pair<int, int>> find_min_trues(const BoardArray& board,
   const std::int64_t N = board_size(board);
   // SaC-style: materialise the per-cell option counts with a
   // genarray-with-loop (filled cells get a sentinel), then locate the
-  // minimum. The body captures only the two arrays, so the with-loop
-  // stores it inline (up to 32 bytes of captures) and allocates nothing
-  // for it.
+  // minimum. The body captures only two references, so storing it
+  // allocates nothing.
   const sac::Array<int> counts =
       sac::With<int>()
           .gen({0, 0}, {N, N},

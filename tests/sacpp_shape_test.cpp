@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sacpp/shape.hpp"
 
 using sac::Index;
@@ -58,6 +60,23 @@ TEST(Shape, LinearizeChecksRankAndBounds) {
   EXPECT_THROW(s.linearize({3, 0}), ShapeError);
   EXPECT_THROW(s.linearize({0, -1}), ShapeError);
   EXPECT_EQ(s.linearize({2, 3}), 11);
+}
+
+// Components far out of range are rejected, not overflowed into range: an
+// offset accumulated from INT64_MAX would be signed overflow.
+TEST(Shape, LinearizeRejectsExtremeComponents) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  for (int rank = 1; rank <= 5; ++rank) {
+    const Shape s(Index(static_cast<std::size_t>(rank), 3));
+    for (int a = 0; a < rank; ++a) {
+      for (const std::int64_t c : {kMax, kMin}) {
+        Index iv(static_cast<std::size_t>(rank), 2);
+        iv[static_cast<std::size_t>(a)] = c;
+        EXPECT_THROW(s.linearize(iv), ShapeError) << "rank " << rank << " axis " << a;
+      }
+    }
+  }
 }
 
 TEST(Shape, Contains) {

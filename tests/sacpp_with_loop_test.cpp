@@ -584,6 +584,20 @@ TEST(WithLoopBodyKinds, StdFunctionBody) {
   };
   expect_body_matches_reference(
       With<int>().gen({1, 0}, {40, 150}, f).gen({0, 5}, {3, 150}, f));
+  // A std::function of another signature is a body like any callable.
+  const std::function<long(const Index&)> g = [](const Index& iv) {
+    return static_cast<long>(iv[1] * iv[0] % 11);
+  };
+  expect_body_matches_reference(With<int>().gen({2, 1}, {37, 150}, g).gen({0, 0}, {9, 9}, f));
+  // An empty one fails when called, as a std::function does.
+  const std::function<int(const Index&)> empty;
+  const std::function<long(const Index&)> empty_long;
+  for (const Context& ctx : {kCompiled1, kPar4}) {
+    EXPECT_THROW(With<int>().gen({0, 0}, {4, 4}, empty).genarray(Shape{4, 4}, 0, ctx),
+                 std::bad_function_call);
+    EXPECT_THROW(With<int>().gen({0, 0}, {4, 4}, empty_long).fold(std::plus<>(), 0, ctx),
+                 std::bad_function_call);
+  }
 }
 
 TEST(WithLoopBodyKinds, FunctionPointerBody) {
@@ -596,16 +610,15 @@ TEST(WithLoopBodyKinds, LambdaCapturingMoreThan16Bytes) {
   const std::int64_t a = 3;
   const std::int64_t b = -5;
   const std::int64_t c = 11;
-  // 24 bytes of captures: still stored inline.
+  // 24 and 48 bytes of captures: past std::function's inline buffer.
   const auto three = [a, b, c](const Index& iv) {
     return static_cast<int>(a * iv[0] + b * iv[1] + c);
   };
-  // 48 bytes of captures: stored on the heap.
   const std::array<std::int64_t, 6> k{1, 2, 3, 4, 5, 6};
   const auto six = [k](const Index& iv) {
     return static_cast<int>(k[static_cast<std::size_t>(iv[1] % 6)] * iv[0]);
   };
-  static_assert(sizeof(three) > 16 && sizeof(six) > sac::detail::Body<int>::kInlineBytes);
+  static_assert(sizeof(three) == 24 && sizeof(six) == 48);
   expect_body_matches_reference(
       With<int>().gen({0, 0}, {40, 150}, three).gen({7, 9}, {30, 140}, six));
 }

@@ -5,11 +5,11 @@
 /// The interpreted with-loop engine: the equivalence oracle of the with-loop
 /// and fusion tests. It shares nothing with the compiled engine
 /// (sacpp/with_loop.hpp) but the generator list: it walks every generator
-/// element by recursive per-axis iteration, calls the body once per cell
-/// (its per-cell entry, never the row runner) and linearises the full
-/// index vector per cell. Fused chains materialise their root and then
-/// apply the stages elementwise, unfused. Sequential only; it reaches the
-/// generator list and the chain state through the
+/// element by recursive per-axis iteration, calls the body through its
+/// `std::function` once per cell (never the row runner) and linearises
+/// the full index vector per cell. Fused chains materialise their root
+/// and then apply the stages elementwise, unfused. Sequential only; it
+/// reaches the generator list and the chain state through the
 /// `sac::testing::ReferenceEngine` friend hook.
 
 #include <cstdint>
